@@ -461,6 +461,27 @@ func TestWireCellRoundTrip(t *testing.T) {
 	}
 }
 
+// waitPiggybacked waits until the dispatcher holds exactly tasks pending
+// tasks with waiters waiters each.
+func waitPiggybacked(t *testing.T, d *dist.Dispatcher, tasks, waiters int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ws := d.PendingWaiters()
+		ok := len(ws) == tasks
+		for _, n := range ws {
+			ok = ok && n == waiters
+		}
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pending waiters %v, want %d tasks with %d each", ws, tasks, waiters)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestDispatcherFoldsExternalResolvesIntoRunnerCounters pins the
 // mode-split accounting contract for clustered runs: cells the
 // coordinator resolves without its runner ever seeing them — the
@@ -480,6 +501,10 @@ func TestDispatcherFoldsExternalResolvesIntoRunnerCounters(t *testing.T) {
 	// piggyback resolve (counted as a shared hit).
 	id1 := c.submit(sixCells)
 	id2 := c.submit(sixCells)
+	// Both jobs run on the manager's workers concurrently; start the
+	// worker only once job 2's cells have joined job 1's tasks, or it may
+	// finish a task before the second waiter arrives.
+	waitPiggybacked(t, c.d, 6, 2)
 	startWorker(t, c.ts.URL, fakeRun, 2)
 	if st := c.wait(id1, 30*time.Second); st.State != serve.StateDone {
 		t.Fatalf("job 1: %s (%s)", st.State, st.Error)

@@ -228,14 +228,15 @@ func handleOptimize(m *Manager, w http.ResponseWriter, r *http.Request) {
 
 // submitAndRespond enqueues a prepared request and renders the shared
 // submission response contract (202 + Location, 429 with Retry-After for
-// admission, 503 for pressure, 400 otherwise).
+// admission, 503 for pressure, 400 otherwise). The 202 body is the job as
+// enqueued, so it reads queued even when the job has already finished.
 func submitAndRespond(m *Manager, w http.ResponseWriter, tenant string, req Request) {
-	job, err := m.SubmitAs(tenant, req)
+	job, st, err := m.submit(tenant, req)
 	var adm *AdmissionError
 	switch {
 	case err == nil:
 		w.Header().Set("Location", "/v1/jobs/"+job.ID())
-		writeJSON(w, http.StatusAccepted, job.Status())
+		writeJSON(w, http.StatusAccepted, st)
 	case errors.As(err, &adm):
 		// Over-limit tenants get 429 with Retry-After and a machine-
 		// readable reason so clients can back off without string-matching.

@@ -486,26 +486,35 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 // into resident memory — run() re-expands (microseconds) when the job
 // actually starts.
 func (m *Manager) SubmitAs(tenantName string, req Request) (*Job, error) {
+	job, _, err := m.submit(tenantName, req)
+	return job, err
+}
+
+// submit is SubmitAs that also returns the job's status as enqueued. The
+// snapshot is taken before any worker can see the job, so it always reads
+// queued; a status read after submit returns may already be running or,
+// for a job whose cells all hit the cache, done.
+func (m *Manager) submit(tenantName string, req Request) (*Job, Status, error) {
 	orig := req
 	req, cells, err := req.prepare()
 	if err != nil {
-		return nil, err
+		return nil, Status{}, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrDraining
+		return nil, Status{}, ErrDraining
 	}
 	// Only live queued jobs count against the bound: cancelling a queued
 	// job frees its slot immediately.
 	if len(m.pending) >= m.depth {
-		return nil, ErrQueueFull
+		return nil, Status{}, ErrQueueFull
 	}
 	// Admission runs after the cheap structural checks so a full queue
 	// answers 503 (server pressure) rather than charging tenant tokens.
 	units := req.admissionUnits(cells)
 	if err := m.Admission.Admit(tenantName, units); err != nil {
-		return nil, err
+		return nil, Status{}, err
 	}
 	m.seq++
 	job := &Job{
@@ -525,9 +534,10 @@ func (m *Manager) SubmitAs(tenantName string, req Request) (*Job, error) {
 			m.Admission.Release(tenantName, job.admCells)
 			m.log().Error("journal append failed; submission refused",
 				obs.KeyJobID, job.id, "err", err.Error())
-			return nil, err
+			return nil, Status{}, err
 		}
 	}
+	st := job.Status()
 	m.pending = append(m.pending, job)
 	m.jobs[job.id] = job
 	m.order = append(m.order, job.id)
@@ -537,7 +547,7 @@ func (m *Manager) SubmitAs(tenantName string, req Request) (*Job, error) {
 	m.log().Info("job submitted",
 		obs.KeyJobID, job.id, "kind", req.Kind(), "experiment", req.Experiment,
 		obs.KeyTenant, tenantName, "queued", len(m.pending))
-	return job, nil
+	return job, st, nil
 }
 
 // Get returns a job by id.
