@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -270,9 +269,6 @@ func dryRun(cells []batch.Cell) error {
 	seen := make(map[string]struct{}, len(cells))
 	custom := 0
 	for _, c := range cells {
-		if c.Exec == config.ExecAnalytical && c.RunFn != nil {
-			return fmt.Errorf("cell %d (%s): analytical mode cannot evaluate a custom RunFn closure; drop +analytical or the closure", c.Index, c)
-		}
 		if err := c.Config.Validate(); err != nil {
 			return fmt.Errorf("cell %d (%s): %w", c.Index, c, err)
 		}
@@ -294,9 +290,6 @@ func dryRun(cells []batch.Cell) error {
 	fmt.Printf("estimated cost: ~%s cold (%d des", cost.Estimated.Round(time.Millisecond), cost.DESCells)
 	if cost.AnalyticalCells > 0 {
 		fmt.Printf(" + %d analytical", cost.AnalyticalCells)
-	}
-	if cost.ClosureCells > 0 {
-		fmt.Printf(" + %d closure (excluded from the estimate)", cost.ClosureCells)
 	}
 	fmt.Println(" cells; cache hits are free)")
 	for i, c := range cells {
@@ -348,14 +341,8 @@ func buildSpec(path, platforms, modes, workloads, waveguides string, sets []stri
 		}
 	}
 	if waveguides != "" {
-		spec.Waveguides = spec.Waveguides[:0]
-		for _, s := range strings.Split(waveguides, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n <= 0 {
-				return spec, fmt.Errorf("bad waveguide count %q", s)
-			}
-			spec.Waveguides = append(spec.Waveguides, n)
-		}
+		// Shorthand for the override axis; a -set of the same path wins.
+		sets = append([]string{"optical.waveguides=" + waveguides}, sets...)
 	}
 	for _, kv := range sets {
 		path, vals, ok := strings.Cut(kv, "=")

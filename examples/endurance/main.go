@@ -12,6 +12,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -27,21 +28,11 @@ func main() {
 		cfg := config.Default(config.OhmBW, config.Planar)
 		cfg.XPoint.StartGapK = k
 		cfg.MaxInstructions = 6000
-		sys, err := core.NewSystem(cfg)
+		rep, err := core.RunConfig(cfg, "backp")
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := sys.RunWorkload("backp"); err != nil {
-			log.Fatal(err)
-		}
-		var maxWear uint64
-		for mc := 0; mc < cfg.GPU.MemCtrls; mc++ {
-			if xc := sys.Mem.XPointAt(mc); xc != nil {
-				if w := xc.Wear().Max; w > maxWear {
-					maxWear = w
-				}
-			}
-		}
+		maxWear := uint64(rep.Extra[stats.ExtraWearMax])
 		label := fmt.Sprintf("K=%d", k)
 		if k == 0 {
 			label = "disabled"

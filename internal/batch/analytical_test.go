@@ -2,11 +2,11 @@ package batch
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/stats"
 	"repro/internal/twin"
 )
 
@@ -103,20 +103,37 @@ func TestAnalyticalExecutorCoercesCells(t *testing.T) {
 	}
 }
 
-func TestAnalyticalRejectsClosures(t *testing.T) {
-	stub := func(config.Config, string) (stats.Report, error) { return stats.Report{}, nil }
+// TestAnalyticalRejectsUnmodelledCells: the twin models neither a
+// non-PCIe host link nor a phased hot set, so analytical execution —
+// per cell or coerced by AnalyticalExecutor — refuses them with a named
+// error instead of estimating a different system.
+func TestAnalyticalRejectsUnmodelledCells(t *testing.T) {
+	origin := config.Default(config.Origin, config.Planar)
+	origin.Memory.HostLink = config.HostSSD
+	phased, _ := config.WorkloadByName("lud")
+	phased.Phases = 2
+	static := phased
+	static.Phases = 1
 	r := &Runner{Workers: 1, Cache: NewMemCache()}
-	cell := Cell{Config: config.Default(config.Oracle, config.Planar), Workload: "custom", RunFn: stub, Salt: "s"}
-
-	exec := AnalyticalExecutor{r}
-	if _, err := exec.RunContext(context.Background(), []Cell{cell}, nil); err == nil ||
-		!strings.Contains(err.Error(), "RunFn closure") {
-		t.Fatalf("AnalyticalExecutor accepted a closure cell: %v", err)
+	for _, tc := range []struct {
+		cell Cell
+		want error
+	}{
+		{Cell{Config: origin, Workload: "lud"}, ErrAnalyticalHostLink},
+		{Cell{Config: config.Default(config.OhmBW, config.Planar), Workload: "lud", WorkloadDef: &phased}, ErrAnalyticalPhases},
+	} {
+		if _, err := (AnalyticalExecutor{r}).RunContext(context.Background(), []Cell{tc.cell}, nil); !errors.Is(err, tc.want) {
+			t.Fatalf("AnalyticalExecutor: got %v, want %v", err, tc.want)
+		}
+		tc.cell.Exec = config.ExecAnalytical
+		if _, err := r.Run([]Cell{tc.cell}); !errors.Is(err, tc.want) {
+			t.Fatalf("Runner: got %v, want %v", err, tc.want)
+		}
 	}
-
-	cell.Exec = config.ExecAnalytical
-	if _, err := r.Run([]Cell{cell}); err == nil || !strings.Contains(err.Error(), "RunFn closure") {
-		t.Fatalf("Runner accepted an analytical closure cell: %v", err)
+	// One phase is a static hot set: the twin estimates it.
+	ok := Cell{Config: config.Default(config.OhmBW, config.Planar), Workload: "lud", WorkloadDef: &static, Exec: config.ExecAnalytical}
+	if _, err := r.Run([]Cell{ok}); err != nil {
+		t.Fatalf("phases=1 rejected: %v", err)
 	}
 }
 

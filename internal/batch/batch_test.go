@@ -45,7 +45,7 @@ func TestSpecCellsDeterministicOrder(t *testing.T) {
 		Platforms:       []config.Platform{config.OhmBase, config.OhmBW},
 		Modes:           []config.MemMode{config.Planar, config.TwoLevel},
 		Workloads:       []string{"lud", "sssp"},
-		Waveguides:      []int{1, 4},
+		Overrides:       Overrides{"optical.waveguides": {1, 4}},
 		MaxInstructions: 500,
 	}
 	cells := mustCells(t, spec)
@@ -98,7 +98,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		Platforms:       []config.Platform{config.Origin, config.OhmWOM},
 		Modes:           []config.MemMode{config.TwoLevel},
 		Workloads:       []string{"pagerank"},
-		Waveguides:      []int{2, 8},
+		Overrides:       Overrides{"optical.waveguides": {2.0, 8.0}},
 		MaxInstructions: 1234,
 	}
 	data, err := json.Marshal(spec)
@@ -129,8 +129,12 @@ func TestCellKeyDiscriminates(t *testing.T) {
 	}
 	workload := base
 	workload.Workload = "sssp"
-	salt := base
-	salt.Salt = "variant"
+	host := base
+	host.Config.Memory.HostLink = config.HostInstant
+	lud, _ := config.WorkloadByName("lud")
+	lud.Phases = 4
+	phased := base
+	phased.WorkloadDef = &lud
 	knob := base
 	knob.Config.Optical.Waveguides = 3
 	instr := base
@@ -139,7 +143,7 @@ func TestCellKeyDiscriminates(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cell Cell
-	}{{"workload", workload}, {"salt", salt}, {"knob", knob}, {"instr", instr}} {
+	}{{"workload", workload}, {"host link", host}, {"phases", phased}, {"knob", knob}, {"instr", instr}} {
 		k, err := c.cell.Key()
 		if err != nil {
 			t.Fatal(err)
@@ -169,10 +173,10 @@ func runAll(t *testing.T, workers int, cache Cache, run RunFunc, cells []Cell) [
 
 func TestParallelMatchesSerialByteIdentical(t *testing.T) {
 	spec := SweepSpec{
-		Platforms:  []config.Platform{config.Origin, config.Hetero, config.OhmBW},
-		Modes:      config.AllModes(),
-		Workloads:  []string{"lud", "sssp", "pagerank"},
-		Waveguides: []int{1, 2},
+		Platforms: []config.Platform{config.Origin, config.Hetero, config.OhmBW},
+		Modes:     config.AllModes(),
+		Workloads: []string{"lud", "sssp", "pagerank"},
+		Overrides: Overrides{"optical.waveguides": {1, 2}},
 	}
 	cells := mustCells(t, spec)
 	serial := runAll(t, 1, nil, fakeRun, cells)
@@ -260,26 +264,47 @@ func TestWarmCacheSkipsSimulation(t *testing.T) {
 	}
 }
 
-func TestCustomRunFnCaching(t *testing.T) {
-	var calls atomic.Int64
-	custom := func(cfg config.Config, w string) (stats.Report, error) {
-		calls.Add(1)
-		return fakeRun(cfg, w)
+// TestExperimentVariantsCache: the former closure variants — a non-PCIe
+// host link, a phased hot set — are plain data, so they are cached like
+// any sweep cell, and each keys apart from its plain twin.
+func TestExperimentVariantsCache(t *testing.T) {
+	origin := config.Default(config.Origin, config.Planar)
+	origin.MaxInstructions = 300
+	instant := origin
+	instant.Memory.HostLink = config.HostInstant
+	ohm := config.Default(config.OhmBW, config.Planar)
+	ohm.MaxInstructions = 300
+	phased, _ := config.WorkloadByName("lud")
+	phased.Phases = 4
+	cells := []Cell{
+		{Platform: config.Origin, Config: origin, Workload: "lud"},
+		{Platform: config.Origin, Config: instant, Workload: "lud"},
+		{Platform: config.OhmBW, Config: ohm, Workload: "lud"},
+		{Platform: config.OhmBW, Config: ohm, Workload: "lud", WorkloadDef: &phased},
 	}
-	cfg := config.Default(config.OhmBW, config.Planar)
-	unsalted := Cell{Config: cfg, Workload: "lud", RunFn: custom}
-	salted := Cell{Config: cfg, Workload: "lud", Salt: "variant", RunFn: custom}
-
-	r := &Runner{Workers: 1, Cache: NewMemCache()}
-	for i := 0; i < 2; i++ {
-		if _, err := r.Run([]Cell{unsalted, salted}); err != nil {
-			t.Fatal(err)
-		}
+	r := &Runner{Workers: 2, Cache: NewMemCache()}
+	cold, err := r.Run(cells)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Unsalted closures are opaque: never cached, so they ran twice. The
-	// salted variant cached after its first run.
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("calls = %d, want 3 (2 unsalted + 1 salted)", got)
+	if st := r.Stats(); st.Misses != 4 {
+		t.Fatalf("cold stats = %+v, want 4 distinct simulations", st)
+	}
+	warm, err := r.Run(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Misses != 4 || st.Hits != 4 {
+		t.Fatalf("warm stats = %+v, want every variant served from the cache", st)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatal("cached variants differ from their cold runs")
+	}
+	if cold[1].Elapsed >= cold[0].Elapsed {
+		t.Fatalf("instant host link (%v) not faster than PCIe (%v)", cold[1].Elapsed, cold[0].Elapsed)
+	}
+	if reflect.DeepEqual(cold[2], cold[3]) {
+		t.Fatal("phased cell reproduced the static cell's report")
 	}
 }
 

@@ -23,15 +23,19 @@ import (
 // keyVersion invalidates every cached result when the simulator's
 // observable behaviour changes; bump it alongside model changes that alter
 // reports without altering config.Config.
-const keyVersion = "ohm-batch-v1"
+//
+// v2: XPoint, MSHR and dynamic-division reports carry the wear, merge and
+// borrow Extra keys, and the former experiment variants (endurance,
+// Start-Gap) now share keys with plain cells, so a v1 entry must not
+// answer for them.
+const keyVersion = "ohm-batch-v2"
 
 // Key returns the cell's content address: a hash of the fully-resolved
-// configuration, the workload name and the variant salt — plus, for inline
-// custom workloads, the full workload definition, so two custom workloads
-// sharing a name never collide. Table II cells hash exactly as they always
-// have, keeping caches warm across the spec redesign. Two cells with equal
-// keys produce byte-identical reports (the simulator is deterministic and
-// seeded from the config), which is what makes the cache safe.
+// configuration and the workload name — plus, for inline custom workloads,
+// the full workload definition, so two custom workloads sharing a name
+// never collide. Two cells with equal keys produce byte-identical reports
+// (the simulator is deterministic and seeded from the config), which is
+// what makes the cache safe.
 func (c Cell) Key() (string, error) {
 	cfg, err := json.Marshal(c.Config)
 	if err != nil {
@@ -43,14 +47,12 @@ func (c Cell) Key() (string, error) {
 	h.Write(cfg)
 	h.Write([]byte{0})
 	h.Write([]byte(c.Workload))
-	h.Write([]byte{0})
-	h.Write([]byte(c.Salt))
 	if c.Exec == config.ExecAnalytical {
-		// Salt analytical keys with the execution mode AND the twin's model
-		// version: estimates must never answer for simulations (or vice
-		// versa), and retuning the twin must invalidate stale estimates
-		// without touching any DES entry. DES cells write nothing here, so
-		// their keys stay byte-identical to every cache ever populated.
+		// Analytical keys also hash the execution mode AND the twin's
+		// model version: estimates must never answer for simulations (or
+		// vice versa), and retuning the twin must invalidate stale
+		// estimates without touching any DES entry. DES cells write
+		// nothing here.
 		h.Write([]byte{0})
 		h.Write([]byte("exec=analytical/" + twin.ModelVersion))
 	}
@@ -63,13 +65,6 @@ func (c Cell) Key() (string, error) {
 		h.Write(def)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// cacheable reports whether the cell's key fully determines its result: a
-// default-run cell always is; a custom RunFn is opaque, so it must declare
-// a Salt naming its variant to opt in.
-func (c Cell) cacheable() bool {
-	return c.RunFn == nil || c.Salt != ""
 }
 
 // Cache stores marshaled stats.Report values under content-address keys.

@@ -2,7 +2,6 @@ package batch
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/config"
 	"repro/internal/obs"
@@ -34,10 +33,8 @@ var _ Executor = LocalExecutor{}
 // twin regardless of the mode the cell was authored with: it is the "give
 // me the whole sweep as estimates" switch for design-space exploration,
 // where a 10^3x cheaper answer per cell is worth a ~10% error bar.
-// Coerced cells keep the Runner's cache (analytical keys are salted with
-// the twin's model version, so estimates and simulations never collide).
-// Closure-carrying cells have no config/workload for the twin to evaluate
-// and are rejected up front, before any cell runs.
+// Coerced cells keep the Runner's cache (analytical keys also hash the
+// twin's model version, so estimates and simulations never collide).
 type AnalyticalExecutor struct {
 	*Runner
 }
@@ -49,9 +46,6 @@ var _ Executor = AnalyticalExecutor{}
 func (a AnalyticalExecutor) RunContext(ctx context.Context, cells []Cell, progress Progress) ([]stats.Report, error) {
 	coerced := make([]Cell, len(cells))
 	for i, c := range cells {
-		if c.RunFn != nil {
-			return nil, fmt.Errorf("batch: cell %d (%s): analytical mode cannot evaluate a custom RunFn closure", i, c)
-		}
 		c.Exec = config.ExecAnalytical
 		coerced[i] = c
 	}
@@ -62,17 +56,17 @@ func (a AnalyticalExecutor) RunContext(ctx context.Context, cells []Cell, progre
 // cache lookup, single-flight, the process-wide simulation semaphore —
 // and reports whether it was served without simulating here. It is the
 // per-cell entry point the distributed dispatcher uses for cells it
-// executes locally (closure-carrying cells can't be shipped, and the
-// coordinator may run cells itself alongside remote workers).
+// executes locally (analytical cells, and the coordinator's own slots
+// alongside remote workers).
 func (r *Runner) RunCell(ctx context.Context, c Cell) (stats.Report, bool, error) {
 	rep, hit, _, err := r.runCell(ctx, c)
 	return rep, hit, err
 }
 
 // RunCellTimed is RunCell plus the cell's phase split — zero when the
-// cell was served from cache, joined an in-flight simulation or ran an
-// opaque custom RunFn. Remote workers use it to ship the breakdown back
-// to the coordinator with the result.
+// cell was served from cache or joined an in-flight simulation. Remote
+// workers use it to ship the breakdown back to the coordinator with the
+// result.
 func (r *Runner) RunCellTimed(ctx context.Context, c Cell) (stats.Report, bool, obs.Phases, error) {
 	return r.runCell(ctx, c)
 }

@@ -37,10 +37,10 @@ type Runner struct {
 	// Cache, when non-nil, short-circuits cells whose content address has a
 	// stored report and stores fresh results.
 	Cache Cache
-	// RunFn executes a name-resolved cell without its own RunFn; nil means
-	// core.RunConfig. Cells carrying an inline WorkloadDef bypass it and
-	// always simulate their definition. Tests inject counters here to
-	// prove warm-cache runs never simulate.
+	// RunFn, when non-nil, replaces the simulator for name-resolved DES
+	// cells. Cells carrying an inline WorkloadDef bypass it and always
+	// simulate their definition. It is a test seam: tests inject counters
+	// here to prove warm-cache runs never simulate.
 	RunFn RunFunc
 
 	hits       atomic.Uint64
@@ -160,15 +160,14 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 	// cells then borrow the one resident trace from the registry, and its
 	// LRU bound cannot evict a sweep's trace between two cells that share
 	// it (which would generate it twice). Pinning is an upper bound — a
-	// cell served from the result cache never touches its trace — and
-	// RunFn cells are opaque, so they are not pinned.
+	// cell served from the result cache never touches its trace.
 	var pins trace.Pins
 	defer pins.Release()
 	for i := range cells {
 		c := &cells[i]
-		if c.RunFn != nil || c.Exec == config.ExecAnalytical {
-			// RunFn cells are opaque; analytical cells never read a trace —
-			// the twin evaluates the trace's distribution in closed form.
+		if c.Exec == config.ExecAnalytical {
+			// Analytical cells never read a trace — the twin evaluates the
+			// trace's distribution in closed form.
 			continue
 		}
 		switch {
@@ -294,7 +293,7 @@ func (r *Runner) NoteExternalResolve(exec config.ExecMode, shared bool) {
 // served without simulating here (cache hit or shared in-flight result).
 func (r *Runner) resolveCell(ctx context.Context, c Cell) (stats.Report, bool, obs.Phases, error) {
 	var key string
-	if r.Cache != nil && c.cacheable() {
+	if r.Cache != nil {
 		k, err := c.Key()
 		if err != nil {
 			return stats.Report{}, false, obs.Phases{}, err
@@ -395,15 +394,12 @@ joinFlight:
 // miss counter is bumped only once a slot is held: a cell abandoned by
 // cancellation while queued for a slot never simulated, and Stats.Misses
 // documents "misses that ran a simulation". The phase split is measured
-// for the default simulation paths; a custom RunFn is opaque, so its
-// phases stay zero and only the cell's wall time is observable.
+// for the simulator; a test's Runner.RunFn leaves it zero.
 //
-// The default paths build the platform into a pooled core.RunState, so
+// The simulator builds the platform into a pooled core.RunState, so
 // consecutive cells on one worker reuse the previous cell's device arrays
 // and arenas instead of reallocating them. Reports are value snapshots,
 // so releasing the state after the run never aliases a returned report.
-// RunFn cells bypass the pool: a closure's construction is opaque, so
-// there is nothing to rebuild in place (see docs/reference/pooling.md).
 func (r *Runner) simulate(ctx context.Context, c Cell) (stats.Report, obs.Phases, error) {
 	if c.Exec == config.ExecAnalytical {
 		return r.estimate(ctx, c)
@@ -414,39 +410,40 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (stats.Report, obs.Phases
 	defer r.release()
 	r.misses.Add(1)
 	mCacheMisses.Inc()
-	run := c.RunFn
-	if run == nil && c.WorkloadDef != nil {
+	if r.RunFn != nil && c.WorkloadDef == nil {
 		// A cell carrying an inline workload definition is self-describing:
 		// it always simulates from that definition. Routing it through
-		// Runner.RunFn — which only sees the workload *name* — would run
-		// the Table II namesake (or fail on an unknown name) while the
-		// cache keyed on the custom definition.
-		st := core.AcquireRunState()
-		defer core.ReleaseRunState(st)
+		// RunFn — which only sees the workload *name* — would run the
+		// Table II namesake (or fail on an unknown name) while the cache
+		// keyed on the custom definition.
+		rep, err := r.RunFn(c.Config, c.Workload)
+		return rep, obs.Phases{}, err
+	}
+	st := core.AcquireRunState()
+	defer core.ReleaseRunState(st)
+	if c.WorkloadDef != nil {
 		return core.RunWorkloadDefTimedIn(st, c.Config, *c.WorkloadDef)
 	}
-	if run == nil {
-		run = r.RunFn
-	}
-	if run == nil {
-		st := core.AcquireRunState()
-		defer core.ReleaseRunState(st)
-		return core.RunConfigTimedIn(st, c.Config, c.Workload)
-	}
-	rep, err := run(c.Config, c.Workload)
-	return rep, obs.Phases{}, err
+	return core.RunConfigTimedIn(st, c.Config, c.Workload)
 }
+
+// The analytical twin models the PCIe host link and static hot sets only;
+// estimate rejects cells outside that with these errors.
+var (
+	ErrAnalyticalHostLink = errors.New("batch: analytical mode models only the pcie host link")
+	ErrAnalyticalPhases   = errors.New("batch: analytical mode models only static hot sets (phases <= 1)")
+)
 
 // estimate resolves an analytical cell through the closed-form twin. The
 // twin takes the same inputs a simulation would — resolved config plus a
-// workload definition — so a closure-valued RunFn has nothing to hand it
-// and is rejected rather than silently simulated under an analytical
-// label. Estimates still take a simulation slot and count as misses: the
-// accounting invariant is "misses computed a result here", not "misses
-// ran the event loop", and a slot held for ~20µs costs nothing.
+// workload definition — but models neither a non-PCIe host link nor a
+// phased hot set, so those cells are rejected rather than estimated as
+// something they are not. Estimates still take a simulation slot and count
+// as misses: the accounting invariant is "misses computed a result here",
+// not "misses ran the event loop", and a slot held for ~20µs costs nothing.
 func (r *Runner) estimate(ctx context.Context, c Cell) (stats.Report, obs.Phases, error) {
-	if c.RunFn != nil {
-		return stats.Report{}, obs.Phases{}, fmt.Errorf("batch: analytical mode cannot evaluate a custom RunFn closure; use a workload name or inline definition")
+	if c.Config.Memory.HostLink != config.HostPCIe {
+		return stats.Report{}, obs.Phases{}, fmt.Errorf("%w (host link %q)", ErrAnalyticalHostLink, c.Config.Memory.HostLink)
 	}
 	w := config.Workload{}
 	if c.WorkloadDef != nil {
@@ -454,8 +451,11 @@ func (r *Runner) estimate(ctx context.Context, c Cell) (stats.Report, obs.Phases
 	} else {
 		var ok bool
 		if w, ok = config.WorkloadByName(c.Workload); !ok {
-			return stats.Report{}, obs.Phases{}, fmt.Errorf("batch: analytical mode: unknown workload %q (custom runners are DES-only)", c.Workload)
+			return stats.Report{}, obs.Phases{}, fmt.Errorf("batch: analytical mode: unknown workload %q", c.Workload)
 		}
+	}
+	if w.Phases > 1 {
+		return stats.Report{}, obs.Phases{}, fmt.Errorf("%w (workload %q, %d phases)", ErrAnalyticalPhases, w.Name, w.Phases)
 	}
 	if err := r.acquire(ctx); err != nil {
 		return stats.Report{}, obs.Phases{}, err

@@ -408,7 +408,23 @@ type MemoryConfig struct {
 	HotThreshold      int   // planar: accesses within the epoch that mark a page hot
 	HotEpoch          sim.Time
 	Devices           int // number of memory devices on the channel (<=24, Table III)
+	// HostLink is the link Origin stages spilled pages over. It is not an
+	// override path: it picks a device model, not a number.
+	HostLink HostLink `json:"host_link,omitempty"`
 }
+
+// HostLink names a host/storage link model. Only Origin spills, so only
+// Origin reads it.
+type HostLink string
+
+const (
+	// HostPCIe is the main evaluation's PCIe DMA path (the zero value).
+	HostPCIe HostLink = ""
+	// HostSSD stages from the Figure 3 motivation study's SSD over DMA.
+	HostSSD HostLink = "ssd"
+	// HostInstant stages at no cost: Figure 3b's "no DMA" counterfactual.
+	HostInstant HostLink = "instant"
+)
 
 // MemScale is the capacity scale-down versus the paper's testbed (which
 // itself scales memory 12x and footprints to 8GB for simulation speed). At
@@ -533,6 +549,15 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxInstructions <= 0 {
 		return fmt.Errorf("config: MaxInstructions must be positive")
+	}
+	switch c.Memory.HostLink {
+	case HostPCIe:
+	case HostSSD, HostInstant:
+		if c.Platform != Origin {
+			return fmt.Errorf("config: host link %q needs Origin, the only platform that spills; %s never stages", c.Memory.HostLink, c.Platform)
+		}
+	default:
+		return fmt.Errorf("config: unknown host link %q (%q, %q, or empty for pcie)", c.Memory.HostLink, HostSSD, HostInstant)
 	}
 	// Bound the total trace budget: every warp pre-allocates its
 	// instruction stream, and all three factors are override-reachable from

@@ -168,12 +168,25 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero xpoint read", func(c *Config) { c.XPoint.ReadLatency = 0 }},
 		{"zero banks", func(c *Config) { c.DRAM.Banks = 0 }},
 		{"zero instructions", func(c *Config) { c.MaxInstructions = 0 }},
+		{"unknown host link", func(c *Config) { c.Memory.HostLink = "nvme" }},
+		{"host link off Origin", func(c *Config) { c.Memory.HostLink = HostSSD }},
 	}
 	for _, m := range mutations {
 		c := Default(OhmBW, Planar)
 		m.mut(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("Validate accepted config with %s", m.name)
+		}
+	}
+}
+
+// TestWorkloadPhasesBounds: phases must lie in [0, MaxPhases].
+func TestWorkloadPhasesBounds(t *testing.T) {
+	w, _ := WorkloadByName("lud")
+	for phases, ok := range map[int]bool{-1: false, 0: true, 1: true, 8: true, MaxPhases: true, MaxPhases + 1: false} {
+		w.Phases = phases
+		if err := w.Validate(); (err == nil) != ok {
+			t.Errorf("phases=%d: Validate() = %v", phases, err)
 		}
 	}
 }

@@ -36,20 +36,14 @@ type System struct {
 	model energy.Model
 }
 
-// NewSystem builds a platform from a configuration, using the default PCIe
-// host link for spill traffic.
+// NewSystem builds a platform from a configuration; spill traffic takes
+// the host link cfg.Memory.HostLink names.
 func NewSystem(cfg config.Config) (*System, error) {
-	return NewSystemWithHost(cfg, nil)
-}
-
-// NewSystemWithHost builds a platform with a custom host/storage link (the
-// Figure 3 experiment passes an SSD model here).
-func NewSystemWithHost(cfg config.Config, host hmem.HostLink) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	col := stats.NewCollector()
-	mem, err := hmem.New(&cfg, col, host)
+	mem, err := hmem.New(&cfg, col, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: memory system: %w", err)
 	}

@@ -54,18 +54,13 @@ func ReleaseRunState(st *RunState) {
 
 // NewSystemIn is NewSystem building into a recycled run state. A nil st
 // falls back to fresh construction, so callers can thread an optional
-// state through unconditionally.
+// state through unconditionally. The components are reinitialized through
+// the same construction path fresh builds use (every New is NewIn(nil,
+// ...)), which is what guarantees a pooled System produces byte-identical
+// reports.
 func NewSystemIn(st *RunState, cfg config.Config) (*System, error) {
-	return NewSystemWithHostIn(st, cfg, nil)
-}
-
-// NewSystemWithHostIn is NewSystemWithHost building into a recycled run
-// state. The components are reinitialized through the same construction
-// path fresh builds use (every New is NewIn(nil, ...)), which is what
-// guarantees a pooled System produces byte-identical reports.
-func NewSystemWithHostIn(st *RunState, cfg config.Config, host hmem.HostLink) (*System, error) {
 	if st == nil {
-		return NewSystemWithHost(cfg, host)
+		return NewSystem(cfg)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -79,7 +74,7 @@ func NewSystemWithHostIn(st *RunState, cfg config.Config, host hmem.HostLink) (*
 		st.pools = &sim.Pools{}
 	}
 	st.pools.Reset()
-	mem, err := hmem.NewIn(st.mem, st.pools, &cfg, st.col, host)
+	mem, err := hmem.NewIn(st.mem, st.pools, &cfg, st.col, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: memory system: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -296,15 +297,14 @@ func TestDistributedSweepMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestDistributedFig16MatchesGolden runs the acceptance scenario with
-// real simulations: a fig16 -quick experiment dispatched to two workers
-// must be byte-identical to the committed golden report (which the
-// single-process golden test also pins).
-func TestDistributedFig16MatchesGolden(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "fig16.json"))
-	if err != nil {
-		t.Skipf("golden corpus not built yet: %v", err)
-	}
+// TestDistributedExperimentsMatchGolden runs the acceptance scenario with
+// real simulations: -quick experiments dispatched to two workers must be
+// byte-identical to the committed golden reports (which the
+// single-process golden test also pins). Besides fig16 the table holds
+// the experiments whose variants — the ssd and instant host links, phased
+// hot sets, in-run wear counters — are cell data rather than code; the
+// pure-dispatch coordinator must not simulate any of their cells itself.
+func TestDistributedExperimentsMatchGolden(t *testing.T) {
 	c := newCluster(t, -1, func(d *dist.Dispatcher) {
 		d.LeaseTTL = 10 * time.Second // real cells can take a while under -race
 	})
@@ -312,13 +312,24 @@ func TestDistributedFig16MatchesGolden(t *testing.T) {
 	startWorker(t, c.ts.URL, nil, 2)
 	startWorker(t, c.ts.URL, nil, 2)
 
-	id := c.submit(`{"experiment":"fig16","params":{"quick":true}}`)
-	st := c.wait(id, 5*time.Minute)
-	if st.State != serve.StateDone {
-		t.Fatalf("job: %s (%s)", st.State, st.Error)
+	for _, exp := range []string{"fig16", "fig3a", "fig3b", "abl-phases", "endurance"} {
+		t.Run(exp, func(t *testing.T) {
+			golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", exp+".json"))
+			if err != nil {
+				t.Fatalf("golden report: %v", err)
+			}
+			id := c.submit(`{"experiment":"` + exp + `","params":{"quick":true}}`)
+			st := c.wait(id, 5*time.Minute)
+			if st.State != serve.StateDone {
+				t.Fatalf("job: %s (%s)", st.State, st.Error)
+			}
+			if got := c.result(id); !bytes.Equal(got, golden) {
+				t.Fatalf("distributed %s differs from golden (%d vs %d bytes)", exp, len(got), len(golden))
+			}
+		})
 	}
-	if got := c.result(id); !bytes.Equal(got, golden) {
-		t.Fatalf("distributed fig16 differs from golden (%d vs %d bytes)", len(got), len(golden))
+	if st := c.runner.Stats(); st.Misses != 0 {
+		t.Fatalf("coordinator simulated %d cells; every cell must run on a worker", st.Misses)
 	}
 }
 
@@ -437,13 +448,21 @@ func TestWireCellRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The experiment variants: Origin on the instant host link, and a
+	// phased inline workload.
+	instant := batch.Cell{Workload: "lud", Config: config.Default(config.Origin, config.Planar)}
+	instant.Config.Memory.HostLink = config.HostInstant
+	phased, _ := config.WorkloadByName("lud")
+	phased.Phases = 4
+	cells = append(cells, instant,
+		batch.Cell{Workload: "lud", WorkloadDef: &phased, Config: config.Default(config.OhmBW, config.Planar)})
 	for _, cell := range cells {
 		key, err := cell.Key()
 		if err != nil {
 			t.Fatal(err)
 		}
 		wire, err := json.Marshal(dist.WireCell{TaskID: "x", Key: key, Workload: cell.Workload,
-			WorkloadDef: cell.WorkloadDef, Salt: cell.Salt, Config: cell.Config})
+			WorkloadDef: cell.WorkloadDef, Config: cell.Config})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +470,11 @@ func TestWireCellRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(wire, &back); err != nil {
 			t.Fatal(err)
 		}
-		key2, err := back.Cell().Key()
+		rebuilt := back.Cell()
+		if !reflect.DeepEqual(rebuilt.Config, cell.Config) || !reflect.DeepEqual(rebuilt.WorkloadDef, cell.WorkloadDef) {
+			t.Fatalf("cell %s: config or workload definition changed across the wire", cell)
+		}
+		key2, err := rebuilt.Key()
 		if err != nil {
 			t.Fatal(err)
 		}

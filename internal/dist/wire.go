@@ -56,9 +56,7 @@ type LeaseResponse struct {
 
 // WireCell is one leased cell on the wire: the fully-resolved
 // configuration plus workload identity — everything a worker needs to
-// reconstruct the exact batch.Cell and reproduce its cache key. Cells
-// carrying Go closures (experiment RunFn variants) never travel; the
-// dispatcher runs those locally.
+// reconstruct the exact batch.Cell and reproduce its cache key.
 type WireCell struct {
 	// TaskID names the lease; Complete echoes it.
 	TaskID string `json:"task_id"`
@@ -69,8 +67,6 @@ type WireCell struct {
 	Workload string `json:"workload"`
 	// WorkloadDef is the inline definition for custom workloads.
 	WorkloadDef *config.Workload `json:"workload_def,omitempty"`
-	// Salt is the cell's variant salt (empty for plain cells).
-	Salt string `json:"salt,omitempty"`
 	// Config is the fully-resolved configuration (it JSON round-trips
 	// losslessly, which is also what the cache key hashes).
 	Config config.Config `json:"config"`
@@ -83,7 +79,6 @@ func (w WireCell) Cell() batch.Cell {
 		Mode:        w.Config.Mode,
 		Workload:    w.Workload,
 		WorkloadDef: w.WorkloadDef,
-		Salt:        w.Salt,
 		Config:      w.Config,
 	}
 }
@@ -95,7 +90,6 @@ func wireCell(taskID, key string, c batch.Cell) WireCell {
 		Key:         key,
 		Workload:    c.Workload,
 		WorkloadDef: c.WorkloadDef,
-		Salt:        c.Salt,
 		Config:      c.Config,
 	}
 }

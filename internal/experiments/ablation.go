@@ -6,24 +6,17 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // This file holds the ablation studies DESIGN.md calls out: design choices
 // the paper fixes that our implementation exposes as knobs. Each ablation
 // runs the Ohm-BW planar platform with one knob varied and reports the IPC
 // and wear/latency consequences. Every ablation submits its settings to the
-// batch runner as one parallel sweep; settings that need simulator
-// internals (wear counters, MSHR merges, VC borrows) export them through
-// the report's Extra map under the ablExtraPrefix namespace.
-
-// ablExtraPrefix namespaces ablation metrics inside stats.Report.Extra so
-// they survive the result cache and are separable from the run-wide extras
-// (cache hit rates) every report carries.
-const ablExtraPrefix = "abl:"
+// batch runner as one parallel sweep; the simulator internals a setting
+// shows (wear, MSHR merges, VC borrows) are Report.Extra keys the
+// components record during the run (stats.Extra*).
 
 // AblationRow is one knob setting's outcome.
 type AblationRow struct {
@@ -55,15 +48,17 @@ func (r *AblationResult) Render() string {
 	return b.String()
 }
 
-// ablationCell is one knob setting awaiting execution.
+// ablationCell is one knob setting awaiting execution. extra maps the
+// row's Extra names to the Report.Extra keys they show; an absent key
+// shows as 0.
 type ablationCell struct {
 	setting string
 	cell    batch.Cell
+	extra   map[string]string
 }
 
 // ablationResult runs the settings' cells as one parallel batch on the
-// options' engine and folds each report into a row, extracting the
-// namespaced ablation extras.
+// options' engine and folds each report into a row.
 func ablationResult(o Options, title string, acs []ablationCell) (*AblationResult, error) {
 	cells := make([]batch.Cell, len(acs))
 	for i, ac := range acs {
@@ -76,10 +71,8 @@ func ablationResult(o Options, title string, acs []ablationCell) (*AblationResul
 	res := &AblationResult{Title: title}
 	for i, rep := range reps {
 		extra := map[string]float64{}
-		for k, v := range rep.Extra {
-			if strings.HasPrefix(k, ablExtraPrefix) {
-				extra[strings.TrimPrefix(k, ablExtraPrefix)] = v
-			}
+		for name, key := range acs[i].extra {
+			extra[name] = rep.Extra[key]
 		}
 		res.Rows = append(res.Rows, AblationRow{
 			Setting:     acs[i].setting,
@@ -129,29 +122,6 @@ func AblationPageSize(o Options, workload string) (*AblationResult, error) {
 	return ablationResult(o, "Ablation — migration page size (Ohm-BW, planar, "+workload+")", acs)
 }
 
-// runMaxWear executes a cell's config and folds the worst per-line XPoint
-// wear across controllers into the report.
-func runMaxWear(cfg config.Config, workload string) (stats.Report, error) {
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	rep, err := sys.RunWorkload(workload)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	var maxWear uint64
-	for mc := 0; mc < cfg.GPU.MemCtrls; mc++ {
-		if xc := sys.Mem.XPointAt(mc); xc != nil {
-			if w := xc.Wear().Max; w > maxWear {
-				maxWear = w
-			}
-		}
-	}
-	rep.Extra[ablExtraPrefix+"max-wear"] = float64(maxWear)
-	return rep, nil
-}
-
 // AblationStartGap compares Start-Gap wear levelling against a static
 // layout: performance cost vs maximum wear.
 func AblationStartGap(o Options, workload string) (*AblationResult, error) {
@@ -162,27 +132,17 @@ func AblationStartGap(o Options, workload string) (*AblationResult, error) {
 		if k == 0 {
 			setting = "disabled"
 		}
-		cell := ohmBWCell(o, workload, func(c *config.Config) { c.XPoint.StartGapK = k })
-		cell.Salt, cell.RunFn = "abl-max-wear", runMaxWear
-		acs = append(acs, ablationCell{setting: setting, cell: cell})
+		acs = append(acs, ablationCell{
+			setting: setting,
+			cell:    ohmBWCell(o, workload, func(c *config.Config) { c.XPoint.StartGapK = k }),
+			extra:   map[string]string{"max-wear": stats.ExtraWearMax},
+		})
 	}
 	return ablationResult(o, "Ablation — Start-Gap wear levelling (Ohm-BW, planar, "+workload+")", acs)
 }
 
 // AblationMSHR quantifies L2 miss coalescing.
 func AblationMSHR(o Options, workload string) (*AblationResult, error) {
-	runMerges := func(cfg config.Config, w string) (stats.Report, error) {
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			return stats.Report{}, err
-		}
-		rep, err := sys.RunWorkload(w)
-		if err != nil {
-			return stats.Report{}, err
-		}
-		rep.Extra[ablExtraPrefix+"merges"] = float64(sys.GPU.MSHRMerges)
-		return rep, nil
-	}
 	var acs []ablationCell
 	for _, entries := range []int{0, 16, 64, 256} {
 		entries := entries
@@ -190,9 +150,11 @@ func AblationMSHR(o Options, workload string) (*AblationResult, error) {
 		if entries == 0 {
 			setting = "disabled"
 		}
-		cell := ohmBWCell(o, workload, func(c *config.Config) { c.GPU.MSHREntries = entries })
-		cell.Salt, cell.RunFn = "abl-mshr-merges", runMerges
-		acs = append(acs, ablationCell{setting: setting, cell: cell})
+		acs = append(acs, ablationCell{
+			setting: setting,
+			cell:    ohmBWCell(o, workload, func(c *config.Config) { c.GPU.MSHREntries = entries }),
+			extra:   map[string]string{"merges": stats.ExtraMSHRMerges},
+		})
 	}
 	return ablationResult(o, "Ablation — L2 MSHR coalescing (Ohm-BW, planar, "+workload+")", acs)
 }
@@ -200,28 +162,13 @@ func AblationMSHR(o Options, workload string) (*AblationResult, error) {
 // AblationChannelDivision compares static wavelength division (Table I's
 // default) against the dynamic borrowing strategy of [38].
 func AblationChannelDivision(o Options, workload string) (*AblationResult, error) {
-	runBorrows := func(cfg config.Config, w string) (stats.Report, error) {
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			return stats.Report{}, err
-		}
-		rep, err := sys.RunWorkload(w)
-		if err != nil {
-			return stats.Report{}, err
-		}
-		rep.Extra[ablExtraPrefix+"borrows"] = float64(sys.Mem.Opt.Borrows)
-		return rep, nil
-	}
-	var acs []ablationCell
-	for _, dyn := range []bool{false, true} {
-		dyn := dyn
-		setting := "static"
-		cell := ohmBWCell(o, workload, func(c *config.Config) { c.Optical.DynamicDivision = dyn })
-		if dyn {
-			setting = "dynamic"
-			cell.Salt, cell.RunFn = "abl-vc-borrows", runBorrows
-		}
-		acs = append(acs, ablationCell{setting: setting, cell: cell})
+	acs := []ablationCell{
+		{setting: "static", cell: ohmBWCell(o, workload, func(*config.Config) {})},
+		{
+			setting: "dynamic",
+			cell:    ohmBWCell(o, workload, func(c *config.Config) { c.Optical.DynamicDivision = true }),
+			extra:   map[string]string{"borrows": stats.ExtraVCBorrows},
+		},
 	}
 	return ablationResult(o, "Ablation — wavelength division strategy (Ohm-BW, planar, "+workload+")", acs)
 }
@@ -252,28 +199,14 @@ func AblationPhases(o Options, workload string) (*AblationResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown workload %q", workload)
 	}
-	phasedRun := func(phases int) batch.RunFunc {
-		return func(cfg config.Config, _ string) (stats.Report, error) {
-			sys, err := core.NewSystem(cfg)
-			if err != nil {
-				return stats.Report{}, err
-			}
-			return sys.RunTrace(trace.GeneratePhased(w, &cfg, phases)), nil
-		}
-	}
 	var acs []ablationCell
 	for _, phases := range []int{1, 2, 4, 8} {
+		def := w
+		def.Phases = phases
 		for _, p := range []config.Platform{config.OhmBase, config.OhmBW} {
-			cfg := config.Default(p, config.Planar)
-			o.apply(&cfg)
-			acs = append(acs, ablationCell{
-				setting: fmt.Sprintf("phases=%d/%s", phases, p),
-				cell: batch.Cell{
-					Platform: p, Mode: config.Planar, Workload: workload, Config: cfg,
-					Salt:  fmt.Sprintf("abl-phased-%d", phases),
-					RunFn: phasedRun(phases),
-				},
-			})
+			cell := o.cell(p, config.Planar, workload)
+			cell.WorkloadDef = &def
+			acs = append(acs, ablationCell{setting: fmt.Sprintf("phases=%d/%s", phases, p), cell: cell})
 		}
 	}
 	return ablationResult(o, "Ablation — phase-changing hot sets (Ohm-BW vs Ohm-base, planar, "+workload+")", acs)

@@ -6,35 +6,16 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 	"repro/internal/stats"
 )
 
-// fig3SSD returns the SSD configuration for the motivation study. The
-// device's latencies and bandwidths are scaled up by the footprint
-// scale-down (~150x): compute time does not shrink with MemScale (the GPU
-// clock is unscaled), so an unscaled SSD would swamp compute entirely and
-// the breakdown would degenerate to 100% staging. Scaling the staging path
-// by the same factor as the footprints preserves the testbed's
-// staging:compute proportions, which is what Figure 3a reports.
-func fig3SSD() ssd.Config {
-	return ssd.Config{
-		ReadLatency:     500 * sim.Nanosecond,
-		WriteLatency:    800 * sim.Nanosecond,
-		BandwidthBps:    480e9,
-		DMABandwidthBps: 240e9,
-		DMASetup:        200 * sim.Nanosecond,
-		PJPerBit:        50,
-	}
-}
-
-// fig3Config is the Origin-style configuration for the GPU-SSD system:
-// buffer-granularity staging (256 KiB chunks) from the SSD, as applications
-// actually stage working sets.
+// fig3Config is the Origin-style configuration for the GPU-SSD system: the
+// ssd host link (ssd.Fig3's device) with buffer-granularity staging
+// (256 KiB chunks), as applications actually stage working sets.
 func fig3Config(o Options) config.Config {
 	cfg := config.Default(config.Origin, config.Planar)
+	cfg.Memory.HostLink = config.HostSSD
 	cfg.Memory.PageBytes = 256 << 10
 	// The motivation testbed uses the full 24GB K80 (scaled), unlike the
 	// capacity-starved Origin of the main evaluation: working sets fit, and
@@ -62,34 +43,16 @@ type Fig3aResult struct{ Rows []Fig3aRow }
 
 // Fig3a reproduces the motivation study: a DRAM-only GPU whose working sets
 // stage from an SSD over DMA. The paper measured a real GPU+Z-NAND testbed;
-// we attach the ssd package's model as the host link of the Origin
-// platform. GPU time is the execution time not covered by the storage and
-// DMA pipelines (they overlap each other, so the union is approximated by
-// the longer of the two plus the shorter's non-overlapped half).
+// the Origin platform's ssd host link models it and records the flash and
+// DMA pipelines' occupancy in the report. GPU time is the execution time
+// not covered by the two pipelines (they overlap each other, so the union
+// is approximated by the longer of the two plus the shorter's
+// non-overlapped half).
 func Fig3a(o Options) (*Fig3aResult, error) {
-	// The SSD-staged system is not a plain core.RunConfig cell: the custom
-	// RunFn attaches the ssd model as the host link and folds its pipeline
-	// occupancy into the report's Extra map. The salt names the variant so
-	// the cells stay cacheable (the config + salt fully determine the run).
-	runSSD := func(cfg config.Config, w string) (stats.Report, error) {
-		dev := ssd.New(fig3SSD(), nil)
-		sys, err := core.NewSystemWithHost(cfg, dev)
-		if err != nil {
-			return stats.Report{}, err
-		}
-		rep, err := sys.RunWorkload(w)
-		if err != nil {
-			return stats.Report{}, err
-		}
-		rep.Extra["ssd-storage-s"] = dev.FlashBusy().Seconds()
-		rep.Extra["ssd-dma-s"] = dev.DMABusy().Seconds()
-		return rep, nil
-	}
 	var cells []batch.Cell
 	for _, w := range o.workloads() {
 		cells = append(cells, batch.Cell{
-			Platform: config.Origin, Mode: config.Planar, Workload: w,
-			Config: fig3Config(o), Salt: "fig3a-ssd", RunFn: runSSD,
+			Platform: config.Origin, Mode: config.Planar, Workload: w, Config: fig3Config(o),
 		})
 	}
 	reps, err := o.exec(cells)
@@ -99,8 +62,8 @@ func Fig3a(o Options) (*Fig3aResult, error) {
 	res := &Fig3aResult{}
 	for i, w := range o.workloads() {
 		rep := reps[i]
-		storage := rep.Extra["ssd-storage-s"]
-		dma := rep.Extra["ssd-dma-s"]
+		storage := sim.Time(rep.Extra[stats.ExtraSSDStorage]).Seconds()
+		dma := sim.Time(rep.Extra[stats.ExtraSSDDMA]).Seconds()
 		elapsed := rep.Elapsed.Seconds()
 		// The flash and DMA stages pipeline: their union is bounded below
 		// by the longer stage and above by the sum.
@@ -161,33 +124,17 @@ type Fig3bRow struct {
 // Fig3bResult is Figure 3b.
 type Fig3bResult struct{ Rows []Fig3bRow }
 
-// instantHost is a zero-cost host link: the counterfactual "no DMA"
-// system Figure 3b compares against.
-type instantHost struct{}
-
-func (instantHost) Stage(at sim.Time, n int64, write bool) sim.Time { return at }
-
 // Fig3b measures DMA's execution-time degradation by running the Origin
 // platform twice — once with its standard PCIe staging link and once with
-// an instant one — the counterfactual the paper's 31% refers to. Unlike
-// Figure 3a this uses the main evaluation's capacity-starved Origin, whose
-// working sets spill continuously.
+// the instant host link — the counterfactual the paper's 31% refers to.
+// Unlike Figure 3a this uses the main evaluation's capacity-starved Origin,
+// whose working sets spill continuously.
 func Fig3b(o Options) (*Fig3bResult, error) {
-	// Per workload: one standard-PCIe cell (a plain cacheable cell, shared
-	// with any other figure that runs Origin/planar) and one counterfactual
-	// cell whose RunFn swaps in the instant host link.
-	runInstant := func(cfg config.Config, w string) (stats.Report, error) {
-		sys, err := core.NewSystemWithHost(cfg, instantHost{})
-		if err != nil {
-			return stats.Report{}, err
-		}
-		return sys.RunWorkload(w)
-	}
 	var cells []batch.Cell
 	for _, w := range o.workloads() {
 		real := o.cell(config.Origin, config.Planar, w)
 		instant := real
-		instant.Salt, instant.RunFn = "fig3b-instant-host", runInstant
+		instant.Config.Memory.HostLink = config.HostInstant
 		cells = append(cells, real, instant)
 	}
 	reps, err := o.exec(cells)

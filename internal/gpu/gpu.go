@@ -66,8 +66,10 @@ type GPU struct {
 	// small (hardware MSHRs are 32-64 entries), so a scan beats hashing.
 	mshr mshrTable
 
-	// MSHRMerges counts coalesced misses for the ablation experiments.
+	// MSHRMerges counts coalesced misses; hMerges records each one in the
+	// run's report as well (stats.ExtraMSHRMerges).
 	MSHRMerges uint64
+	hMerges    stats.ExtraHandle
 
 	// xbar is the contention-aware interconnect (nil = constant latency).
 	xbar *noc.Crossbar
@@ -188,6 +190,7 @@ func NewIn(re *GPU, pools *sim.Pools, cfg *config.Config, col *stats.Collector, 
 			mshrEntries = mshrEntries[:0]
 		}
 		g.mshr = mshrTable{entries: mshrEntries, cap: cfg.GPU.MSHREntries}
+		g.hMerges = col.InternExtra(stats.ExtraMSHRMerges)
 	} else {
 		g.mshr = mshrTable{}
 	}
@@ -320,7 +323,7 @@ func (g *GPU) memAccess(s *sm, at sim.Time, addr uint64, write bool) sim.Time {
 			// a hit on it merges onto the outstanding fill (MSHR
 			// semantics) instead of returning instantly.
 			if fill, ok := g.mshr.lookup(lineAddr); ok && fill > done {
-				g.MSHRMerges++
+				g.noteMerge()
 				done = fill
 			}
 		}
@@ -339,7 +342,7 @@ func (g *GPU) memAccess(s *sm, at sim.Time, addr uint64, write bool) sim.Time {
 	if g.mshr.cap > 0 && !write {
 		if done, ok := g.mshr.lookup(lineAddr); ok && done > memAt {
 			// Coalesce onto the in-flight miss.
-			g.MSHRMerges++
+			g.noteMerge()
 			return done + gcfg.InterconnectL
 		}
 	}
@@ -353,6 +356,12 @@ func (g *GPU) memAccess(s *sm, at sim.Time, addr uint64, write bool) sim.Time {
 		return at + gcfg.L1Latency
 	}
 	return done + gcfg.InterconnectL
+}
+
+// noteMerge counts one miss coalesced onto an in-flight fill.
+func (g *GPU) noteMerge() {
+	g.MSHRMerges++
+	g.col.AddExtraH(g.hMerges, 1)
 }
 
 // L1HitRate aggregates hit rate across SMs.

@@ -20,6 +20,7 @@ import (
 	"repro/internal/elec"
 	"repro/internal/optical"
 	"repro/internal/sim"
+	"repro/internal/ssd"
 	"repro/internal/stats"
 	"repro/internal/xpoint"
 )
@@ -180,6 +181,8 @@ type Controller struct {
 	hDramLatCnt stats.ExtraHandle
 	hXPLatSum   stats.ExtraHandle
 	hXPLatCnt   stats.ExtraHandle
+	// wear is the wear tap every bank's XPoint controller records into.
+	wear xpoint.WearTap
 
 	// Aggregate ops (inputs to the energy model).
 	DRAMReads    uint64
@@ -203,7 +206,7 @@ type Controller struct {
 
 // New assembles the memory system for cfg. col must not be nil. host may be
 // nil; it is only used by platforms that spill (Origin) — a nil host there
-// installs the default PCIe model.
+// installs the link cfg.Memory.HostLink names (PCIe by default).
 func New(cfg *config.Config, col *stats.Collector, host HostLink) (*Controller, error) {
 	return NewIn(nil, nil, cfg, col, host)
 }
@@ -276,6 +279,7 @@ func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Coll
 		hDramLatCnt: col.InternExtra("dram-count"),
 		hXPLatSum:   col.InternExtra("xp-lat-sum"),
 		hXPLatCnt:   col.InternExtra("xp-count"),
+		wear:        xpoint.NewWearTap(col),
 	}
 
 	if cfg.Platform.Optical() {
@@ -305,7 +309,7 @@ func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Coll
 			if k := len(spXP); k > 0 {
 				reXP, spXP = spXP[k-1], spXP[:k-1]
 			}
-			b.xp = xpoint.NewControllerIn(reXP, pools, cfg.XPoint, xpPerMC, cfg.GPU.LineBytes)
+			b.xp = xpoint.NewControllerIn(reXP, pools, &c.wear, cfg.XPoint, xpPerMC, cfg.GPU.LineBytes)
 			switch cfg.Mode {
 			case config.Planar:
 				var rePl *planarState
@@ -336,8 +340,16 @@ func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Coll
 
 	if cfg.Platform == config.Origin {
 		c.hostOnly = true
-		c.host = host
-		if c.host == nil {
+		switch {
+		case host != nil:
+			c.host = host
+		case cfg.Memory.HostLink == config.HostSSD:
+			// The controller accounts the staged bytes, wait and energy;
+			// the device adds its flash and DMA occupancy.
+			c.host = ssd.New(ssd.Fig3(), col)
+		case cfg.Memory.HostLink == config.HostInstant:
+			c.host = instantHost{}
+		default:
 			c.host = defaultHostLinkIn(spHost, pools)
 			spHost = nil
 		}

@@ -9,23 +9,13 @@ import (
 // which is what makes Origin's frequent host copies so expensive
 // (Section VI-A: Origin degrades 42% versus Hetero).
 type pcieHost struct {
-	dma      *sim.Resource
-	setup    sim.Time
-	bwBps    float64
-	pjPerBit float64
-	col      energySink
+	dma   *sim.Resource
+	setup sim.Time
+	bwBps float64
 }
 
-type energySink interface {
-	AddEnergy(component string, pj float64)
-}
-
-func defaultHostLink() *pcieHost {
-	return defaultHostLinkIn(nil, nil)
-}
-
-// defaultHostLinkIn is defaultHostLink rebuilding into a recycled link with
-// the DMA resource drawn from pools; re and pools may both be nil.
+// defaultHostLinkIn builds the PCIe link into a recycled one with the DMA
+// resource drawn from pools; re and pools may both be nil.
 func defaultHostLinkIn(re *pcieHost, pools *sim.Pools) *pcieHost {
 	if re == nil {
 		re = &pcieHost{}
@@ -44,8 +34,10 @@ func defaultHostLinkIn(re *pcieHost, pools *sim.Pools) *pcieHost {
 func (h *pcieHost) Stage(at sim.Time, n int64, write bool) sim.Time {
 	wire := sim.Time(float64(n) / h.bwBps * 1e12)
 	_, end := h.dma.Reserve(at, wire)
-	if h.col != nil {
-		h.col.AddEnergy("dma", float64(n)*8*h.pjPerBit)
-	}
 	return end + h.setup
 }
+
+// instantHost is the config.HostInstant link: staging costs nothing.
+type instantHost struct{}
+
+func (instantHost) Stage(at sim.Time, n int64, write bool) sim.Time { return at }

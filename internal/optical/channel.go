@@ -52,6 +52,9 @@ type Channel struct {
 	// fire on every memory access, so per-transfer accounting must not hash
 	// the component name. Valid only when col != nil.
 	hEnergy stats.EnergyHandle
+	// hBorrows records each borrow in the report (stats.ExtraVCBorrows);
+	// valid only when col != nil.
+	hBorrows stats.ExtraHandle
 
 	Transfers     uint64
 	DemuxSwitches uint64
@@ -96,6 +99,7 @@ func NewChannelIn(re *Channel, pools *sim.Pools, cfg config.OpticalConfig, col *
 	}
 	if col != nil {
 		c.hEnergy = col.InternEnergy("opti-network")
+		c.hBorrows = col.InternExtra(stats.ExtraVCBorrows)
 	}
 	for i := range c.data {
 		c.data[i] = pools.GapResource(pools.Name("opti-data", i, dataName))
@@ -159,6 +163,9 @@ func (c *Channel) Transfer(vc int, dev int, dir Direction, at sim.Time, n int, c
 		if alt := c.leastLoaded(dir, at); alt != vc && c.data[2*vc+int(dir)].FreeAt() > at {
 			useVC, borrowed = alt, true
 			c.Borrows++
+			if c.col != nil {
+				c.col.AddExtraH(c.hBorrows, 1)
+			}
 		}
 	}
 	idx := 2*useVC + int(dir)

@@ -179,10 +179,21 @@ func replay(r io.Reader) ([]ReplayedJob, int64, error) {
 		line := sc.Bytes()
 		var rec journalRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			// A malformed line mid-file would desynchronize everything
-			// after it; only the *final* line may be torn, so stop here
-			// and truncate the rest.
-			break
+			if !json.Valid(line) {
+				// A malformed line mid-file would desynchronize
+				// everything after it; only the *final* line may be
+				// torn, so stop here and truncate the rest.
+				break
+			}
+			// A complete record this build cannot decode — a request
+			// using a spec field since removed — fails its job instead
+			// of truncating every record after it.
+			var head struct {
+				ID string `json:"id"`
+			}
+			_ = json.Unmarshal(line, &head)
+			rec = journalRecord{T: recFinish, ID: head.ID, State: StateFailed,
+				Error: fmt.Sprintf("serve: journal: record no longer decodes: %v", err)}
 		}
 		good += int64(len(line)) + 1 // the scanner ate the newline
 		j := byID[rec.ID]

@@ -121,6 +121,41 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalUndecodableRecordFailsItsJob: a complete record whose
+// request this build rejects (here a sweep spec carrying the removed
+// "waveguides" field) fails that job on replay; it is not mistaken for a
+// torn tail, so the records after it survive.
+func TestJournalUndecodableRecordFailsItsJob(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	old := `{"t":"submit","id":"job-000001","tenant":"t","req":{"spec":{"waveguides":[1,2]}}}` + "\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Submit("job-000002", "t", Request{Experiment: "fig16"}, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, replayed, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) != 2 {
+		t.Fatalf("replayed %d jobs, want 2: %+v", len(replayed), replayed)
+	}
+	if r := replayed[0]; r.ID != "job-000001" || r.State != StateFailed || !strings.Contains(r.Error, "waveguides") {
+		t.Fatalf("undecodable job replayed as %+v, want failed naming the field", r)
+	}
+	if r := replayed[1]; r.ID != "job-000002" || r.State != StateQueued || r.Req.Experiment != "fig16" {
+		t.Fatalf("job after the undecodable record replayed as %+v", r)
+	}
+}
+
 // TestJournalCompaction folds a grown journal into archived one-liners
 // and checks both that the file shrank and that archived jobs replay with
 // their full status.

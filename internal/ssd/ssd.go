@@ -23,8 +23,6 @@ type Config struct {
 	DMABandwidthBps float64
 	// DMASetup is per-transfer DMA programming overhead.
 	DMASetup sim.Time
-	// PJPerBit is the DMA transfer energy.
-	PJPerBit float64
 }
 
 // Default returns a Z-NAND + PCIe 3.0 x16 class configuration.
@@ -35,26 +33,51 @@ func Default() Config {
 		BandwidthBps:    3.2e9,  // 3.2 GB/s streaming
 		DMABandwidthBps: 12.8e9, // PCIe 3.0 x16 effective
 		DMASetup:        5 * sim.Microsecond,
-		PJPerBit:        50,
+	}
+}
+
+// Fig3 returns the device of the Figure 3 motivation study (the
+// config.HostSSD host link). Its latencies and bandwidths are scaled up
+// by the footprint scale-down (~150x): compute time does not shrink with
+// config.MemScale (the GPU clock is unscaled), so an unscaled SSD would
+// swamp compute entirely and the breakdown would degenerate to 100%
+// staging. Scaling the staging path by the same factor as the footprints
+// preserves the testbed's staging:compute proportions, which is what
+// Figure 3a reports.
+func Fig3() Config {
+	return Config{
+		ReadLatency:     500 * sim.Nanosecond,
+		WriteLatency:    800 * sim.Nanosecond,
+		BandwidthBps:    480e9,
+		DMABandwidthBps: 240e9,
+		DMASetup:        200 * sim.Nanosecond,
 	}
 }
 
 // Device is the SSD + DMA pipeline.
 type Device struct {
-	cfg   Config
-	col   *stats.Collector
-	flash *sim.Resource
-	dma   *sim.Resource
+	cfg            Config
+	col            *stats.Collector
+	hStorage, hDMA stats.ExtraHandle
+	flash          *sim.Resource
+	dma            *sim.Resource
 }
 
-// New builds the device; col may be nil.
+// New builds the device. A non-nil col receives every stage's flash and
+// DMA occupancy (stats.ExtraSSDStorage, stats.ExtraSSDDMA); the staged
+// bytes, wait and transfer energy are the host side's to account.
 func New(cfg Config, col *stats.Collector) *Device {
-	return &Device{
+	d := &Device{
 		cfg:   cfg,
 		col:   col,
 		flash: sim.NewResource("ssd-flash"),
 		dma:   sim.NewResource("ssd-dma"),
 	}
+	if col != nil {
+		d.hStorage = col.InternExtra(stats.ExtraSSDStorage)
+		d.hDMA = col.InternExtra(stats.ExtraSSDDMA)
+	}
+	return d
 }
 
 // Stage moves n bytes between the SSD and GPU memory (direction only
@@ -73,10 +96,8 @@ func (d *Device) Stage(at sim.Time, n int64, write bool) (done sim.Time) {
 	_, done = d.dma.Reserve(flashDone, dmaDur)
 
 	if d.col != nil {
-		d.col.StorageTime += flashDur
-		d.col.HostTime += dmaDur
-		d.col.HostBytes += uint64(n)
-		d.col.AddEnergy("dma", float64(n)*8*d.cfg.PJPerBit)
+		d.col.AddExtraH(d.hStorage, float64(flashDur))
+		d.col.AddExtraH(d.hDMA, float64(dmaDur))
 	}
 	return done
 }

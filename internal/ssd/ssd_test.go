@@ -49,16 +49,20 @@ func TestAccounting(t *testing.T) {
 	col := stats.NewCollector()
 	d := New(Default(), col)
 	d.Stage(0, 1000, false)
-	if col.HostBytes != 1000 {
-		t.Fatalf("host bytes = %d", col.HostBytes)
-	}
-	if col.StorageTime <= 0 || col.HostTime <= 0 {
-		t.Fatal("storage/DMA time not accounted")
-	}
-	if col.EnergyPJ["dma"] != 1000*8*Default().PJPerBit {
-		t.Fatalf("dma energy = %v", col.EnergyPJ["dma"])
-	}
+	d.Stage(0, 3000, true)
 	if d.FlashBusy() <= 0 || d.DMABusy() <= 0 {
 		t.Fatal("busy accounting missing")
+	}
+	col.Flush()
+	if got := col.Extra[stats.ExtraSSDStorage]; got != float64(d.FlashBusy()) {
+		t.Fatalf("storage extra = %v, flash busy %v", got, d.FlashBusy())
+	}
+	if got := col.Extra[stats.ExtraSSDDMA]; got != float64(d.DMABusy()) {
+		t.Fatalf("dma extra = %v, DMA busy %v", got, d.DMABusy())
+	}
+	// Bytes, wait and energy belong to the host side (hmem's Origin
+	// path); the device must not count them a second time.
+	if col.HostBytes != 0 || col.HostTime != 0 || len(col.EnergyPJ) != 0 {
+		t.Fatalf("device accounted host-side metrics: bytes %d, time %v, energy %v", col.HostBytes, col.HostTime, col.EnergyPJ)
 	}
 }

@@ -108,6 +108,31 @@ func (d *LatencyDist) Merge(other *LatencyDist) {
 	}
 }
 
+// Report.Extra keys the components record during a run for the design-
+// choice experiments (wear, MSHR coalescing, wavelength borrowing, SSD
+// staging). Each goes through a pre-interned handle touched only when its
+// event happens, so a report carries a key only once its event occurred:
+// readers take an absent key as 0.
+const (
+	// ExtraWearMax is the most writes any one physical XPoint line took,
+	// across all controllers. It is kept as the sum of the running max's
+	// increments, so no wear array is scanned.
+	ExtraWearMax = "xpoint-wear-max"
+	// ExtraWearTotal counts XPoint media line writes.
+	ExtraWearTotal = "xpoint-wear-total"
+	// ExtraWearLines counts the physical XPoint lines of all controllers;
+	// each controller adds its lines when it is built.
+	ExtraWearLines = "xpoint-wear-lines"
+	// ExtraMSHRMerges counts L2 misses coalesced onto an in-flight fill.
+	ExtraMSHRMerges = "mshr-merges"
+	// ExtraVCBorrows counts dynamic-division wavelength borrows.
+	ExtraVCBorrows = "vc-borrows"
+	// ExtraSSDStorage and ExtraSSDDMA are the ssd host link's flash and
+	// DMA occupancy in picoseconds.
+	ExtraSSDStorage = "ssd-storage-ps"
+	ExtraSSDDMA     = "ssd-dma-ps"
+)
+
 // Collector is the run-wide metric sink. It is not goroutine-safe: the
 // discrete-event engine is single-threaded by design.
 type Collector struct {
@@ -132,11 +157,9 @@ type Collector struct {
 	SnarfedBytes   uint64 // bytes a controller captured from dual routes
 	DualRouteBytes uint64 // migration bytes carried on the memory route
 
-	// Host transfer accounting (Origin spills, Fig. 3 SSD experiment).
-	HostBytes   uint64
-	HostTime    sim.Time
-	StorageTime sim.Time
-	ComputeTime sim.Time
+	// Host transfer accounting (Origin spills).
+	HostBytes uint64
+	HostTime  sim.Time
 
 	// Energy in picojoules by component (Figure 19 breakdown).
 	EnergyPJ map[string]float64

@@ -16,8 +16,7 @@ import (
 // Entries are sync.Once-guarded: concurrent sweep workers asking for the
 // same key block on one generation instead of racing duplicates. Traces
 // returned by Cached are shared and MUST be treated as read-only — callers
-// that mutate instruction streams (GeneratePhased's hot-set rotation) keep
-// calling Generate for a private copy.
+// that mutate instruction streams keep calling Generate for a private copy.
 
 // traceKey captures every input Generate reads. Two configs with equal keys
 // produce bit-identical traces.
@@ -108,12 +107,14 @@ func keyFor(w config.Workload, c *config.Config) traceKey {
 }
 
 // Cached returns the shared immutable trace for (w, c), generating it on
-// first use. Safe for concurrent use; see the package comment on mutation.
+// first use; a phased workload (w.Phases > 1) gets GeneratePhased's
+// rotated trace, generated privately and then shared like any other.
+// Safe for concurrent use; see the package comment on mutation.
 func Cached(w config.Workload, c *config.Config) *Trace {
 	regMu.Lock()
 	e := entryLocked(keyFor(w, c))
 	regMu.Unlock()
-	e.once.Do(func() { e.tr = Generate(w, c) })
+	e.once.Do(func() { e.tr = GeneratePhased(w, c, w.Phases) })
 	return e.tr
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Device is the raw XPoint storage array. Internal partitions provide
@@ -174,6 +175,7 @@ type Controller struct {
 	// so after the rebuild's clearing step the backing array is all zero.
 	wearTouched []int64
 	wearFull    bool
+	tap         *WearTap // nil: wear is not recorded in a collector
 
 	BufferedWrites uint64
 	StalledWrites  uint64
@@ -182,18 +184,41 @@ type Controller struct {
 	ReverseWrites  uint64
 }
 
+// WearTap records a memory system's wear in its run collector as writes
+// land (stats.ExtraWear*). All of a memory system's controllers share one
+// tap, so its running max spans them: a write that lifts a line above it
+// adds the step to stats.ExtraWearMax, and the report carries the max
+// without a scan of the wear arrays.
+type WearTap struct {
+	col                  *stats.Collector
+	hMax, hTotal, hLines stats.ExtraHandle
+	max                  uint32
+}
+
+// NewWearTap interns the wear keys in col.
+func NewWearTap(col *stats.Collector) WearTap {
+	return WearTap{
+		col:    col,
+		hMax:   col.InternExtra(stats.ExtraWearMax),
+		hTotal: col.InternExtra(stats.ExtraWearTotal),
+		hLines: col.InternExtra(stats.ExtraWearLines),
+	}
+}
+
 // NewController assembles a controller over capacityBytes of media.
 func NewController(cfg config.XPointConfig, capacityBytes int64, lineBytes int) *Controller {
-	return NewControllerIn(nil, nil, cfg, capacityBytes, lineBytes)
+	return NewControllerIn(nil, nil, nil, cfg, capacityBytes, lineBytes)
 }
 
 // NewControllerIn is NewController rebuilding into a recycled controller:
 // the wear array, write/read buffers, device partitions and Start-Gap state
 // are reinitialized in place. The recycled wear array is scrubbed through
 // the wearTouched journal rather than wholesale, so reuse costs time
-// proportional to the previous run's writes, not the media capacity. Both
-// re and pools may be nil; New is exactly NewControllerIn(nil, nil, ...).
-func NewControllerIn(re *Controller, pools *sim.Pools, cfg config.XPointConfig, capacityBytes int64, lineBytes int) *Controller {
+// proportional to the previous run's writes, not the media capacity. A
+// non-nil tap records the controller's lines now and its wear as it
+// accrues. re, pools and tap may all be nil; New is exactly
+// NewControllerIn(nil, nil, nil, ...).
+func NewControllerIn(re *Controller, pools *sim.Pools, tap *WearTap, cfg config.XPointConfig, capacityBytes int64, lineBytes int) *Controller {
 	lines := capacityBytes / int64(lineBytes)
 	if lines < 1 {
 		lines = 1
@@ -237,8 +262,12 @@ func NewControllerIn(re *Controller, pools *sim.Pools, cfg config.XPointConfig, 
 		lineBytes:   lineBytes,
 		wear:        wear,
 		wearTouched: re.wearTouched[:0],
+		tap:         tap,
 		writeBuf:    re.writeBuf[:0],
 		readBuf:     re.readBuf[:0],
+	}
+	if tap != nil {
+		tap.col.AddExtraH(tap.hLines, float64(need))
 	}
 	return re
 }
@@ -255,6 +284,13 @@ func (c *Controller) noteWear(pline int64) {
 		}
 	}
 	c.wear[pline]++
+	if t := c.tap; t != nil {
+		t.col.AddExtraH(t.hTotal, 1)
+		if w := c.wear[pline]; w > t.max {
+			t.col.AddExtraH(t.hMax, float64(w-t.max))
+			t.max = w
+		}
+	}
 }
 
 // Device exposes the raw device (used by tests and energy accounting).
