@@ -33,10 +33,10 @@ import (
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmit(m, w, r)
+		handleSubmit(m, w, r, func(req Request) Request { return req })
 	})
 	mux.HandleFunc("POST /v1/optimize", func(w http.ResponseWriter, r *http.Request) {
-		handleOptimize(m, w, r)
+		handleSubmit(m, w, r, func(spec search.Spec) Request { return Request{Optimize: &spec} })
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		jobs := m.Jobs()
@@ -180,57 +180,33 @@ type resultUnavailable struct {
 	Reason string `json:"reason"`
 }
 
-func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
+// handleSubmit is POST /v1/sweeps (body: a Request) and POST /v1/optimize
+// (body: the bare search spec, the `ohmbatch -optimize` file shape).
+// toRequest turns the decoded body into the Request both submit as, so
+// every job shares the same queueing, admission, journaling and
+// cancellation semantics. ?dry_run=1 validates and prices without
+// enqueueing. Otherwise the response is 202 + Location, 429 with
+// Retry-After for admission, 503 for pressure, 400 for a bad request.
+// The 202 body is the job as enqueued, so it reads queued even when the
+// job has already finished.
+func handleSubmit[B any](m *Manager, w http.ResponseWriter, r *http.Request, toRequest func(B) Request) {
 	tenant, err := tenantFrom(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad %s header: %v", TenantHeader, err)
 		return
 	}
-	var req Request
+	var body B
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(&body); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
+	req := toRequest(body)
 	if dr := r.URL.Query().Get("dry_run"); dr != "" && dr != "0" && dr != "false" {
 		handleDryRun(w, req)
 		return
 	}
-	submitAndRespond(m, w, tenant, req)
-}
-
-// handleOptimize is POST /v1/optimize: the body is the bare search spec
-// (the `ohmbatch -optimize` file shape); it submits as an optimize job
-// with the same queueing, admission, journaling and cancellation
-// semantics as every other job. ?dry_run=1 validates and prices without
-// enqueueing, like POST /v1/sweeps.
-func handleOptimize(m *Manager, w http.ResponseWriter, r *http.Request) {
-	tenant, err := tenantFrom(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad %s header: %v", TenantHeader, err)
-		return
-	}
-	var spec search.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	req := Request{Optimize: &spec}
-	if dr := r.URL.Query().Get("dry_run"); dr != "" && dr != "0" && dr != "false" {
-		handleDryRun(w, req)
-		return
-	}
-	submitAndRespond(m, w, tenant, req)
-}
-
-// submitAndRespond enqueues a prepared request and renders the shared
-// submission response contract (202 + Location, 429 with Retry-After for
-// admission, 503 for pressure, 400 otherwise). The 202 body is the job as
-// enqueued, so it reads queued even when the job has already finished.
-func submitAndRespond(m *Manager, w http.ResponseWriter, tenant string, req Request) {
 	job, st, err := m.submit(tenant, req)
 	var adm *AdmissionError
 	switch {
@@ -284,29 +260,13 @@ type dryRunResponse struct {
 // microseconds, and a tenant sizing a sweep before submitting is exactly
 // the behaviour admission limits exist to encourage.
 func handleDryRun(w http.ResponseWriter, req Request) {
-	_, cells, err := req.prepare()
+	p, err := req.prepare()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp := dryRunResponse{Kind: req.Kind(), Valid: true}
-	switch resp.Kind {
-	case "optimize":
-		resp.PlannedEvaluations = req.Optimize.PlannedEvaluations()
-		resp.Note = "planned_evaluations counts analytical-twin evaluations; Pareto-frontier points are additionally confirmed under the event simulator"
-	case "experiment":
-		resp.Note = "experiment cells are chosen by the driver at run time; no static cost estimate exists"
-	default:
-		cost := batch.EstimateCost(cells)
-		resp.Cost = &cost
-		keys := make(map[string]struct{}, len(cells))
-		for _, c := range cells {
-			if k, err := c.Key(); err == nil {
-				keys[k] = struct{}{}
-			}
-		}
-		resp.DistinctKeys = len(keys)
-	}
+	resp := dryRunResponse{Kind: p.kind, Valid: true}
+	p.dryRun(&resp)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -319,7 +279,8 @@ func handleResult(m *Manager, w http.ResponseWriter, r *http.Request) {
 	st := job.Status()
 	switch st.State {
 	case StateDone:
-		if !job.hasResult() {
+		// render was set under job.mu before Status saw the state done.
+		if job.render == nil {
 			// Done before a restart: the journal replayed the status but
 			// the rendered payload is gone. 410 with the reason; a warm
 			// resubmit of the same request recomputes it from the cache.
@@ -358,34 +319,11 @@ func handleResult(m *Manager, w http.ResponseWriter, r *http.Request) {
 		format = "json"
 	}
 
-	// Terminal jobs are immutable, so the result fields need no lock.
-	switch {
-	case st.Kind == "sweep" && format == "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		if err := batch.WriteCSV(w, job.cells, job.reports); err != nil {
-			writeError(w, http.StatusInternalServerError, "encode csv: %v", err)
-		}
-	case st.Kind == "sweep" && format == "json":
-		w.Header().Set("Content-Type", "application/json")
-		if err := batch.WriteJSON(w, job.cells, job.reports); err != nil {
-			writeError(w, http.StatusInternalServerError, "encode json: %v", err)
-		}
-	case st.Kind == "experiment" && format == "json":
-		// The exact bytes `ohmfig -json <id>` prints, so served figures are
-		// interchangeable with locally generated ones.
-		w.Header().Set("Content-Type", "application/json")
-		if err := experiments.EncodeResultJSON(w, job.req.Experiment, job.result); err != nil {
-			writeError(w, http.StatusInternalServerError, "encode result: %v", err)
-		}
-	case st.Kind == "optimize" && format == "json":
-		// The exact bytes `ohmbatch -optimize` prints for the same (spec,
-		// seed), so optimizer results are byte-identical across surfaces.
-		w.Header().Set("Content-Type", "application/json")
-		if err := search.WriteJSON(w, job.optResult); err != nil {
-			writeError(w, http.StatusInternalServerError, "encode result: %v", err)
-		}
-	default:
+	switch err := job.render(w, format); {
+	case errors.Is(err, errNotAcceptable):
 		writeError(w, http.StatusNotAcceptable, "format %q not available for %s jobs", format, st.Kind)
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -94,9 +95,9 @@ type ReplayedJob struct {
 	ID                     string
 	Tenant                 string
 	Req                    Request // zero for archived jobs
-	Kind                   string
-	Experiment             string
-	State                  State // StateQueued for jobs to re-queue
+	Kind                   string  // archived jobs only; Recover prepares Req for the rest
+	Experiment             string  // archived jobs only
+	State                  State   // StateQueued for jobs to re-queue
 	Error                  string
 	Created                time.Time
 	Finished               time.Time
@@ -175,6 +176,14 @@ func replay(r io.Reader) ([]ReplayedJob, int64, error) {
 	var good int64
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxSubmitBytes+64*1024)
+	// Only newline-terminated lines count: a final line without its
+	// newline is a torn append even when it parses.
+	sc.Split(func(data []byte, _ bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i], nil
+		}
+		return 0, nil, nil
+	})
 	for sc.Scan() {
 		line := sc.Bytes()
 		var rec journalRecord
@@ -195,7 +204,7 @@ func replay(r io.Reader) ([]ReplayedJob, int64, error) {
 			rec = journalRecord{T: recFinish, ID: head.ID, State: StateFailed,
 				Error: fmt.Sprintf("serve: journal: record no longer decodes: %v", err)}
 		}
-		good += int64(len(line)) + 1 // the scanner ate the newline
+		good += int64(len(line)) + 1 // the split func ate the newline
 		j := byID[rec.ID]
 		if j == nil && rec.ID != "" {
 			j = &ReplayedJob{ID: rec.ID, State: StateQueued}
@@ -211,8 +220,6 @@ func replay(r io.Reader) ([]ReplayedJob, int64, error) {
 			j.Created = rec.At
 			if rec.Req != nil {
 				j.Req = *rec.Req
-				j.Kind = rec.Req.Kind()
-				j.Experiment = rec.Req.Experiment
 			}
 		case recCells:
 			j.Done, j.Total, j.Hits, j.Sim = rec.Done, rec.Total, rec.Hits, rec.Sim

@@ -21,7 +21,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/search"
-	"repro/internal/stats"
 )
 
 // State is a job's lifecycle position.
@@ -59,15 +58,11 @@ type Request struct {
 	Optimize *search.Spec `json:"optimize,omitempty"`
 }
 
-// Kind returns "experiment", "sweep" or "optimize".
+// Kind returns the kind prepare decides ("experiment", "sweep" or
+// "optimize"; "" if none or several fields are set), validating to do so.
 func (r Request) Kind() string {
-	if r.Optimize != nil {
-		return "optimize"
-	}
-	if r.Spec != nil || r.Scenario != nil {
-		return "sweep"
-	}
-	return "experiment"
+	p, _ := r.prepare()
+	return p.kind
 }
 
 // Validate checks that the request names exactly one runnable thing and
@@ -75,77 +70,8 @@ func (r Request) Kind() string {
 // malformed workloads are rejected at submission with the offending path
 // in the error, not when the job runs.
 func (r Request) Validate() error {
-	_, _, err := r.prepare()
+	_, err := r.prepare()
 	return err
-}
-
-// prepare validates and canonicalizes the request: the experiment id takes
-// its registry spelling, a scenario becomes its one-cell sweep, and sweep
-// specs are expanded and per-cell validated so a bad submission gets a 400
-// here rather than a failed job later. The returned cells exist for
-// validation only; Submit drops them (see its comment).
-func (r Request) prepare() (Request, []batch.Cell, error) {
-	n := 0
-	if r.Experiment != "" {
-		n++
-	}
-	if r.Spec != nil {
-		n++
-	}
-	if r.Scenario != nil {
-		n++
-	}
-	if r.Optimize != nil {
-		n++
-	}
-	if n != 1 {
-		return r, nil, errors.New("serve: request must carry exactly one of \"experiment\", \"spec\", \"scenario\" or \"optimize\"")
-	}
-	if r.Optimize != nil {
-		if err := r.Optimize.Validate(); err != nil {
-			return r, nil, fmt.Errorf("serve: %w", err)
-		}
-		return r, nil, nil
-	}
-	if r.Experiment != "" {
-		// Canonicalize the id (Lookup is case-insensitive) so the job's
-		// status and result document carry the registry spelling — the
-		// result must stay byte-identical to `ohmfig -json <id>`.
-		d, ok := experiments.Lookup(r.Experiment)
-		if !ok {
-			return r, nil, fmt.Errorf("serve: unknown experiment %q", r.Experiment)
-		}
-		r.Experiment = d.ID
-		return r, nil, nil
-	}
-	if r.Scenario != nil {
-		spec, err := batch.ScenarioSpec(*r.Scenario)
-		if err != nil {
-			return r, nil, fmt.Errorf("serve: %w", err)
-		}
-		r.Spec = &spec
-	}
-	cells, err := r.Spec.Cells()
-	if err != nil {
-		return r, nil, fmt.Errorf("serve: %w", err)
-	}
-	for _, c := range cells {
-		if err := c.Config.Validate(); err != nil {
-			return r, nil, fmt.Errorf("serve: cell %d (%s): %w", c.Index, c, err)
-		}
-	}
-	return r, cells, nil
-}
-
-// admissionUnits is what a request charges against tenant quota: the
-// expanded cell count for sweeps, the planned twin evaluations for
-// optimizer jobs, 0 for experiment jobs (their totals grow as the driver
-// runs).
-func (r Request) admissionUnits(cells []batch.Cell) int {
-	if r.Optimize != nil {
-		return r.Optimize.PlannedEvaluations()
-	}
-	return len(cells)
 }
 
 // Status is a job's externally visible state, served by GET /v1/jobs/{id}.
@@ -199,19 +125,19 @@ type Timing struct {
 
 // Job is one submitted unit of work and its (eventual) result.
 type Job struct {
-	id  string
+	id string
+	// req is the request exactly as the client submitted it; the journal
+	// stores this form and replay prepares it again.
 	req Request
-	// orig is the request exactly as the client submitted it, before
-	// prepare canonicalized it. The journal stores this form: prepare
-	// rejects an already-prepared request (a canonicalized scenario
-	// carries both Scenario and Spec), so replay must re-prepare from
-	// the original.
-	orig Request
+	// kind and experiment are what prepare decided (or, for a job
+	// replayed from an archived journal record, what the record kept).
+	kind, experiment string
+	// run executes the job; nil for jobs replayed as terminal.
+	run runFunc
 	// tenant is the admission-control identity the job bills against.
 	tenant string
-	// admCells is what Admit charged (sweep cell count; 0 for
-	// experiment jobs, whose totals grow as the driver runs), returned
-	// by Release when the job goes terminal.
+	// admCells is what Admit charged (prepared.units), returned by
+	// Release when the job goes terminal.
 	admCells int
 	// replayed marks a job reconstructed from the journal.
 	replayed bool
@@ -233,14 +159,11 @@ type Job struct {
 	finished   time.Time
 	span       *obs.JobSpan // per-job cell timing; set when the job starts
 
-	// Results: sweep jobs keep cells+reports (for JSON and CSV rendering);
-	// experiment jobs keep the driver's typed result; optimize jobs keep
-	// the search result (frontier + decision log) and the latest
-	// phase-level progress snapshot.
-	cells       []batch.Cell
-	reports     []stats.Report
-	result      experiments.Result
-	optResult   *search.Result
+	// render encodes the result on request; set when the job finishes
+	// done, and nil for jobs replayed from the journal (their payloads
+	// lived only in the crashed process's memory).
+	render renderFunc
+	// optProgress is an optimize job's latest phase-level snapshot.
 	optProgress *search.Progress
 }
 
@@ -253,8 +176,8 @@ func (j *Job) Status() Status {
 	defer j.mu.Unlock()
 	s := Status{
 		ID:         j.id,
-		Kind:       j.req.Kind(),
-		Experiment: j.req.Experiment,
+		Kind:       j.kind,
+		Experiment: j.experiment,
 		Tenant:     j.tenant,
 		Replayed:   j.replayed,
 		State:      j.state,
@@ -479,12 +402,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	return m.SubmitAs(DefaultTenant, req)
 }
 
-// SubmitAs validates and enqueues a job billed to the given tenant. The
-// expanded cell list prepare built for validation is deliberately
-// dropped: a few hundred bytes of spec may expand to ~MaxCells cells,
-// and pinning that on every queued job would amplify small submissions
-// into resident memory — run() re-expands (microseconds) when the job
-// actually starts.
+// SubmitAs validates and enqueues a job billed to the given tenant.
 func (m *Manager) SubmitAs(tenantName string, req Request) (*Job, error) {
 	job, _, err := m.submit(tenantName, req)
 	return job, err
@@ -495,8 +413,7 @@ func (m *Manager) SubmitAs(tenantName string, req Request) (*Job, error) {
 // queued; a status read after submit returns may already be running or,
 // for a job whose cells all hit the cache, done.
 func (m *Manager) submit(tenantName string, req Request) (*Job, Status, error) {
-	orig := req
-	req, cells, err := req.prepare()
+	p, err := req.prepare()
 	if err != nil {
 		return nil, Status{}, err
 	}
@@ -512,25 +429,26 @@ func (m *Manager) submit(tenantName string, req Request) (*Job, Status, error) {
 	}
 	// Admission runs after the cheap structural checks so a full queue
 	// answers 503 (server pressure) rather than charging tenant tokens.
-	units := req.admissionUnits(cells)
-	if err := m.Admission.Admit(tenantName, units); err != nil {
+	if err := m.Admission.Admit(tenantName, p.units); err != nil {
 		return nil, Status{}, err
 	}
 	m.seq++
 	job := &Job{
-		id:       fmt.Sprintf("job-%06d", m.seq),
-		req:      req,
-		orig:     orig,
-		tenant:   tenantName,
-		admCells: units,
-		state:    StateQueued,
-		created:  time.Now().UTC(),
+		id:         fmt.Sprintf("job-%06d", m.seq),
+		req:        req,
+		kind:       p.kind,
+		experiment: p.experiment,
+		run:        p.run,
+		tenant:     tenantName,
+		admCells:   p.units,
+		state:      StateQueued,
+		created:    time.Now().UTC(),
 	}
 	// Durably record the submission before it becomes visible: a job the
 	// journal never saw would silently vanish on restart. On journal
 	// failure the submission is refused whole (quota returned, seq burned).
 	if m.Journal != nil {
-		if err := m.Journal.Submit(job.id, tenantName, orig, job.created); err != nil {
+		if err := m.Journal.Submit(job.id, tenantName, req, job.created); err != nil {
 			m.Admission.Release(tenantName, job.admCells)
 			m.log().Error("journal append failed; submission refused",
 				obs.KeyJobID, job.id, "err", err.Error())
@@ -542,10 +460,10 @@ func (m *Manager) submit(tenantName string, req Request) (*Job, Status, error) {
 	m.jobs[job.id] = job
 	m.order = append(m.order, job.id)
 	m.cond.Signal()
-	mJobsSubmitted.With(req.Kind()).Inc()
+	mJobsSubmitted.With(job.kind).Inc()
 	mJobsQueued.Inc()
 	m.log().Info("job submitted",
-		obs.KeyJobID, job.id, "kind", req.Kind(), "experiment", req.Experiment,
+		obs.KeyJobID, job.id, "kind", job.kind, "experiment", job.experiment,
 		obs.KeyTenant, tenantName, "queued", len(m.pending))
 	return job, st, nil
 }
@@ -680,7 +598,7 @@ func (m *Manager) run(job *Job) {
 		}
 	}
 	m.log().Info("job started",
-		obs.KeyJobID, job.id, "kind", job.req.Kind(), "experiment", job.req.Experiment,
+		obs.KeyJobID, job.id, "kind", job.kind, "experiment", job.experiment,
 		obs.KeyTenant, job.tenant, "queue_wait", queueWait.String())
 
 	// progress folds every batch the job submits into cumulative per-cell
@@ -708,57 +626,7 @@ func (m *Manager) run(job *Job) {
 		}
 	}
 
-	var err error
-	if job.req.Optimize != nil {
-		// The optimizer submits successive evaluation batches through the
-		// shared executor exactly like an experiment driver, so the cell
-		// counters accumulate through the same progress closure; OnPhase
-		// additionally surfaces per-generation search progress.
-		var res *search.Result
-		res, err = search.Run(ctx, *job.req.Optimize, search.Options{
-			Executor: m.executor(),
-			Progress: progress,
-			OnPhase: func(p search.Progress) {
-				job.mu.Lock()
-				job.optProgress = &p
-				job.mu.Unlock()
-			},
-		})
-		if err == nil {
-			job.mu.Lock()
-			job.optResult = res
-			job.mu.Unlock()
-		}
-	} else if job.req.Spec != nil {
-		// Re-expansion of the submit-validated spec (Submit dropped the
-		// cells to keep queued jobs small); it cannot fail differently
-		// than it did at validation, but the error path stays honest.
-		var cells []batch.Cell
-		cells, err = job.req.Spec.Cells()
-		if err == nil {
-			job.mu.Lock()
-			job.cellsTotal = len(cells)
-			job.mu.Unlock()
-			var reports []stats.Report
-			reports, err = m.executor().RunContext(ctx, cells, progress)
-			if err == nil {
-				job.mu.Lock()
-				job.cells, job.reports = cells, reports
-				job.mu.Unlock()
-			}
-		}
-	} else {
-		d, _ := experiments.Lookup(job.req.Experiment) // validated at submit
-		o := job.req.Params.Options()
-		o.Engine = &experiments.Engine{Runner: m.runner, Executor: m.executor(), Ctx: ctx, Progress: progress}
-		var res experiments.Result
-		res, err = d.Run(o, job.req.Params.AblWorkload())
-		if err == nil {
-			job.mu.Lock()
-			job.result = res
-			job.mu.Unlock()
-		}
-	}
+	render, err := job.run(ctx, m, job, progress)
 
 	job.mu.Lock()
 	job.finished = time.Now().UTC()
@@ -766,6 +634,7 @@ func (m *Manager) run(job *Job) {
 	switch {
 	case err == nil:
 		job.state = StateDone
+		job.render = render
 	case errors.Is(err, context.Canceled):
 		job.state = StateCancelled
 	default:
@@ -803,15 +672,6 @@ func (m *Manager) run(job *Job) {
 	}
 }
 
-// hasResult reports whether the job holds a renderable result payload.
-// Journal-replayed terminal jobs keep their status but not their result
-// (payloads lived only in the crashed process's memory).
-func (j *Job) hasResult() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result != nil || j.reports != nil || j.optResult != nil
-}
-
 // compactJournal rewrites the journal as one record per remembered job:
 // terminal jobs fold to archived one-liners (status only — their result
 // payloads are in memory and their cells in the result cache), live jobs
@@ -835,7 +695,7 @@ func (m *Manager) compactJournal() error {
 		} else {
 			recs = append(recs, journalRecord{
 				T: recSubmit, ID: id, Tenant: job.tenant,
-				Req: &job.orig, At: st.Created,
+				Req: &job.req, At: st.Created,
 			})
 		}
 	}
@@ -865,14 +725,25 @@ func (m *Manager) Recover(replayed []ReplayedJob) {
 		if s := jobSeq(r.ID); s > m.seq {
 			m.seq = s
 		}
+		// A submit record's request decides kind and experiment; an
+		// archived record has no request (no kind) but keeps both.
+		p, err := r.Req.prepare()
 		job := &Job{
-			id:       r.ID,
-			orig:     r.Req,
-			tenant:   r.Tenant,
-			replayed: true,
-			created:  r.Created,
+			id:         r.ID,
+			req:        r.Req,
+			kind:       r.Kind,
+			experiment: r.Experiment,
+			tenant:     r.Tenant,
+			replayed:   true,
+			created:    r.Created,
 		}
-		if r.Terminal() {
+		if p.kind != "" {
+			job.kind, job.experiment = p.kind, p.experiment
+		}
+		m.jobs[job.id] = job
+		m.order = append(m.order, job.id)
+		switch {
+		case r.Terminal():
 			job.state = r.State
 			job.errMsg = r.Error
 			job.finished = r.Finished
@@ -880,40 +751,19 @@ func (m *Manager) Recover(replayed []ReplayedJob) {
 				job.finished = job.created
 			}
 			job.released = true // terminal before the crash; nothing charged
-			job.req = r.Req
-			if job.req.Kind() != r.Kind && r.Kind != "" {
-				// Archived records drop the request; keep Kind honest by
-				// reconstructing the minimal shape Status needs.
-				job.req = Request{Experiment: r.Experiment}
-				switch r.Kind {
-				case "sweep":
-					job.req = Request{Spec: &batch.SweepSpec{}}
-				case "optimize":
-					job.req = Request{Optimize: &search.Spec{}}
-				}
-			}
 			job.cellsDone, job.cellsTotal = r.Done, r.Total
 			job.cacheHits, job.simulated = r.Hits, r.Sim
-			m.jobs[job.id] = job
-			m.order = append(m.order, job.id)
 			m.mu.Unlock()
 			terminal++
 			mJournalReplayed.With("terminal").Inc()
-			continue
-		}
-		// Live at the crash: re-prepare the original request and re-queue.
-		req, cells, err := r.Req.prepare()
-		if err != nil {
-			// The request no longer validates (registry or schema moved
-			// under it across the restart): record a failed job rather
-			// than dropping it silently.
+		case err != nil:
+			// Live at the crash, but the request no longer validates
+			// (registry or schema moved under it across the restart):
+			// record a failed job rather than dropping it silently.
 			job.state = StateFailed
 			job.errMsg = fmt.Sprintf("replay: %v", err)
 			job.finished = time.Now().UTC()
 			job.released = true
-			job.req = r.Req
-			m.jobs[job.id] = job
-			m.order = append(m.order, job.id)
 			m.mu.Unlock()
 			if m.Journal != nil {
 				_ = m.Journal.Finish(job.id, StateFailed, job.errMsg, job.finished)
@@ -922,26 +772,25 @@ func (m *Manager) Recover(replayed []ReplayedJob) {
 			mJournalReplayed.With("failed").Inc()
 			m.log().Warn("replayed job no longer valid",
 				obs.KeyJobID, job.id, "err", err.Error())
-			continue
+		default:
+			// Live at the crash: re-queue the prepared original request.
+			job.run = p.run
+			job.state = StateQueued
+			job.admCells = p.units
+			// Re-count quota without charging rate tokens: replay is the
+			// server's doing, not client traffic.
+			m.Admission.Restore(job.tenant, job.admCells)
+			m.pending = append(m.pending, job)
+			m.cond.Signal()
+			mJobsQueued.Inc()
+			m.mu.Unlock()
+			requeued++
+			mJournalReplayed.With("requeued").Inc()
+			m.log().Info("job replayed from journal",
+				obs.KeyJobID, job.id, obs.KeyTenant, job.tenant,
+				"kind", job.kind, "experiment", job.experiment,
+				"cells_done_before_crash", r.Done, "cells_total", r.Total)
 		}
-		job.req = req
-		job.state = StateQueued
-		job.admCells = req.admissionUnits(cells)
-		// Re-count quota without charging rate tokens: replay is the
-		// server's doing, not client traffic.
-		m.Admission.Restore(job.tenant, job.admCells)
-		m.pending = append(m.pending, job)
-		m.jobs[job.id] = job
-		m.order = append(m.order, job.id)
-		m.cond.Signal()
-		mJobsQueued.Inc()
-		m.mu.Unlock()
-		requeued++
-		mJournalReplayed.With("requeued").Inc()
-		m.log().Info("job replayed from journal",
-			obs.KeyJobID, job.id, obs.KeyTenant, job.tenant,
-			"kind", job.req.Kind(), "experiment", job.req.Experiment,
-			"cells_done_before_crash", r.Done, "cells_total", r.Total)
 	}
 	m.pruneFinished()
 	if m.Journal != nil {

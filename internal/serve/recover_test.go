@@ -137,7 +137,7 @@ func TestRecoverRequeuesInFlightJob(t *testing.T) {
 	if stA.State != StateDone || !stA.Replayed || stA.Tenant != "alice" {
 		t.Fatalf("jobA after replay = %+v", stA)
 	}
-	if gotA.hasResult() {
+	if gotA.render != nil {
 		t.Fatal("replayed terminal job claims a result payload")
 	}
 
@@ -421,20 +421,27 @@ func TestRecoverReplaysCombinedModeJob(t *testing.T) {
 	}
 
 	st := waitStatus(t, got, "done after replay", func(st Status) bool { return st.State.Terminal() })
+	if st.State != StateDone {
+		t.Fatalf("replayed combined-mode job = %+v", st)
+	}
 	// The executed grid carried the modes through to the cells: two DES,
-	// two analytical (terminal jobs keep their cells for the result
-	// encoder, so this is safe to read now).
+	// two analytical rows in the job's result.
+	rec := httptest.NewRecorder()
+	if err := got.render(rec, "json"); err != nil {
+		t.Fatal(err)
+	}
+	var rows []batch.Row
+	if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
+		t.Fatal(err)
+	}
 	var ana int
-	for _, c := range got.cells {
-		if c.Exec == config.ExecAnalytical {
+	for _, r := range rows {
+		if r.Mode == config.ModeString(config.Planar, config.ExecAnalytical) {
 			ana++
 		}
 	}
 	if ana != 2 {
 		t.Fatalf("replayed grid ran %d analytical cells, want 2", ana)
-	}
-	if st.State != StateDone {
-		t.Fatalf("replayed combined-mode job = %+v", st)
 	}
 	// The crash-completed DES cell comes from the cache; the other DES
 	// cell simulates; both analytical cells estimate through the twin —
@@ -450,5 +457,63 @@ func TestRecoverReplaysCombinedModeJob(t *testing.T) {
 	}
 	if rs := runner2.Stats(); rs.Analytical != 2 {
 		t.Fatalf("runner resolved %d analytical cells after replay, want 2", rs.Analytical)
+	}
+}
+
+// TestRecoverArchivedJobKeepsKindAndExperiment is the regression for
+// archived jobs losing their identity on restart: an archived journal
+// record carries no request, so kind and experiment must come from the
+// record itself — both in the replayed job's status and in the archived
+// record the restart's compaction writes back.
+func TestRecoverArchivedJobKeepsKindAndExperiment(t *testing.T) {
+	for _, tc := range []struct{ kind, experiment string }{
+		{"experiment", "fig16"},
+		{"sweep", ""},
+		{"optimize", ""},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			jpath := filepath.Join(t.TempDir(), "journal.jsonl")
+			j, _, err := OpenJournal(jpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := NewManager(&batch.Runner{Workers: 1, RunFn: fakeRun}, 1, 4)
+			m.Journal = j
+			t.Cleanup(func() {
+				m.Shutdown(context.Background())
+				j.Close()
+			})
+			created := time.Now().UTC().Truncate(time.Second)
+			m.Recover([]ReplayedJob{{
+				ID: "job-000001", Tenant: "t", Kind: tc.kind, Experiment: tc.experiment,
+				State: StateDone, Created: created, Finished: created.Add(time.Second),
+				Done: 4, Total: 4, Sim: 4,
+			}})
+
+			job, ok := m.Get("job-000001")
+			if !ok {
+				t.Fatal("archived job lost in replay")
+			}
+			if st := job.Status(); st.Kind != tc.kind || st.Experiment != tc.experiment {
+				t.Fatalf("status kind=%q experiment=%q, want %q %q", st.Kind, st.Experiment, tc.kind, tc.experiment)
+			}
+			// Recover compacted the journal: the archived record it wrote
+			// must keep both fields for the next restart.
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j2, replayed, err := OpenJournal(jpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			if len(replayed) != 1 {
+				t.Fatalf("compacted journal replayed %d jobs, want 1", len(replayed))
+			}
+			if r := replayed[0]; r.Kind != tc.kind || r.Experiment != tc.experiment || r.State != StateDone {
+				t.Fatalf("compacted record kind=%q experiment=%q state=%s, want %q %q done",
+					r.Kind, r.Experiment, r.State, tc.kind, tc.experiment)
+			}
+		})
 	}
 }

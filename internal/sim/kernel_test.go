@@ -35,7 +35,7 @@ func (h *refHeap) Pop() interface{} {
 	return e
 }
 
-// orderRecorder collects the ids of fired closure-free events.
+// orderRecorder collects the ids of fired events.
 type orderRecorder struct{ got []uint64 }
 
 func (r *orderRecorder) Handle(arg uint64) { r.got = append(r.got, arg) }
@@ -69,29 +69,32 @@ func TestKernelMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
-// TestScheduleAndScheduleIDInterleave proves the closure shim and the
-// closure-free path share one sequence ordering: alternating both forms at
-// one timestamp fires in exact submission order.
-func TestScheduleAndScheduleIDInterleave(t *testing.T) {
+// TestScheduleIDAndAfterIDInterleave proves absolute and relative
+// scheduling share one sequence ordering: alternating both forms at one
+// timestamp fires in exact submission order.
+func TestScheduleIDAndAfterIDInterleave(t *testing.T) {
 	eng := NewEngine()
-	var got []int
-	rec := handlerFunc(func(arg uint64) { got = append(got, int(arg)) })
+	rec := &orderRecorder{}
 	for i := 0; i < 20; i++ {
 		if i%2 == 0 {
-			i := i
-			eng.Schedule(5, func() { got = append(got, i) })
+			eng.AfterID(5, rec, uint64(i))
 		} else {
 			eng.ScheduleID(5, rec, uint64(i))
 		}
 	}
 	eng.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("position %d fired event %d; closure and ID events must share seq order", i, v)
+	if len(rec.got) != 20 {
+		t.Fatalf("fired %d events, want 20", len(rec.got))
+	}
+	for i, v := range rec.got {
+		if v != uint64(i) {
+			t.Fatalf("position %d fired event %d; ScheduleID and AfterID events must share seq order", i, v)
 		}
 	}
 }
 
+// handlerFunc adapts a plain function to Handler for tests that need an
+// event to act on the engine.
 type handlerFunc func(arg uint64)
 
 func (f handlerFunc) Handle(arg uint64) { f(arg) }

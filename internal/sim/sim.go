@@ -64,11 +64,9 @@ func FreqToPeriod(hz float64) Time {
 	return Time(1e12/hz + 0.5)
 }
 
-// Handler is the closure-free event callback: components implement it once
-// and pass a uint64 argument (a warp index, a request id) per event, so the
-// steady-state event loop allocates nothing. The hot schedulers (GPU warp
-// issue/retire) use this path; Schedule(at, func()) remains as a
-// compatibility shim for cold paths and tests.
+// Handler is the event callback: components implement it once and pass a
+// uint64 argument (a warp index, a request id) per event, so the
+// steady-state event loop allocates nothing.
 type Handler interface {
 	Handle(arg uint64)
 }
@@ -76,13 +74,12 @@ type Handler interface {
 // event is one scheduled callback, stored by value in the engine's arena.
 // Events with equal time fire in the order of their sequence numbers (i.e.
 // scheduling order), which makes simulations deterministic regardless of
-// heap internals. Exactly one of fn and h is set.
+// heap internals.
 type event struct {
 	at  Time
 	seq uint64
 	arg uint64
 	h   Handler
-	fn  func()
 }
 
 // Engine is a single-threaded discrete-event scheduler. The zero value is
@@ -93,7 +90,7 @@ type event struct {
 // orders int32 arena indices. Compared to the former container/heap of
 // *event this removes the per-event allocation, the interface{} boxing on
 // push/pop, and two levels of pointer indirection per comparison; sift
-// operations move 4-byte indices instead of 48-byte events.
+// operations move 4-byte indices instead of 40-byte events.
 type Engine struct {
 	now   Time
 	seq   uint64
@@ -195,23 +192,9 @@ func (e *Engine) siftDown(i int) {
 	h[i] = idx
 }
 
-// Schedule runs fn at absolute time at. Scheduling in the past panics: it is
-// always a model bug, and silently clamping would hide causality violations.
-//
-// This is the compatibility shim over the value-typed queue: the closure
-// itself is still one allocation at the call site. Hot paths should use
-// ScheduleID.
-func (e *Engine) Schedule(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %s before now %s", at, e.now))
-	}
-	e.push(event{at: at, seq: e.seq, fn: fn})
-	e.seq++
-}
-
-// ScheduleID runs h.Handle(arg) at absolute time at. It shares the sequence
-// counter with Schedule, so closure and closure-free events interleave in
-// exact scheduling order. The steady-state cost is zero allocations: the
+// ScheduleID runs h.Handle(arg) at absolute time at. Scheduling in the past
+// panics: it is always a model bug, and silently clamping would hide
+// causality violations. The steady-state cost is zero allocations: the
 // Handler is an interface over a pre-existing pointer and the event is
 // stored by value in a recycled arena slot.
 func (e *Engine) ScheduleID(at Time, h Handler, arg uint64) {
@@ -222,16 +205,7 @@ func (e *Engine) ScheduleID(at Time, h Handler, arg uint64) {
 	e.seq++
 }
 
-// After runs fn delay picoseconds from now.
-func (e *Engine) After(delay Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %s", delay))
-	}
-	e.Schedule(e.now+delay, fn)
-}
-
-// AfterID runs h.Handle(arg) delay picoseconds from now on the closure-free
-// path.
+// AfterID runs h.Handle(arg) delay picoseconds from now.
 func (e *Engine) AfterID(delay Time, h Handler, arg uint64) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %s", delay))
@@ -247,18 +221,14 @@ func (e *Engine) Step() bool {
 	}
 	slot := e.pop()
 	ev := &e.arena[slot]
-	at, h, arg, fn := ev.at, ev.h, ev.arg, ev.fn
-	// Clear the slot's references before recycling so the arena does not
-	// pin dead closures or handlers for the GC.
-	ev.h, ev.fn = nil, nil
+	at, h, arg := ev.at, ev.h, ev.arg
+	// Clear the slot's handler before recycling so the arena does not pin
+	// dead handlers for the GC.
+	ev.h = nil
 	e.free = append(e.free, slot)
 	e.now = at
 	e.fired++
-	if h != nil {
-		h.Handle(arg)
-	} else {
-		fn()
-	}
+	h.Handle(arg)
 	return true
 }
 

@@ -55,13 +55,13 @@ func TestFreqToPeriodPanicsOnNonPositive(t *testing.T) {
 
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
-	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
+	rec := &orderRecorder{}
+	e.ScheduleID(30, rec, 3)
+	e.ScheduleID(10, rec, 1)
+	e.ScheduleID(20, rec, 2)
 	e.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("events fired out of order: %v", order)
+	if len(rec.got) != 3 || rec.got[0] != 1 || rec.got[1] != 2 || rec.got[2] != 3 {
+		t.Fatalf("events fired out of order: %v", rec.got)
 	}
 	if e.Now() != 30 {
 		t.Fatalf("clock = %s, want 30ps", e.Now())
@@ -70,15 +70,14 @@ func TestEngineOrdering(t *testing.T) {
 
 func TestEngineTieBreakBySequence(t *testing.T) {
 	e := NewEngine()
-	var order []int
+	rec := &orderRecorder{}
 	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(100, func() { order = append(order, i) })
+		e.ScheduleID(100, rec, uint64(i))
 	}
 	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events fired out of scheduling order: %v", order)
+	for i, v := range rec.got {
+		if v != uint64(i) {
+			t.Fatalf("same-time events fired out of scheduling order: %v", rec.got)
 		}
 	}
 }
@@ -86,10 +85,11 @@ func TestEngineTieBreakBySequence(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var hits []Time
-	e.Schedule(10, func() {
+	record := handlerFunc(func(uint64) { hits = append(hits, e.Now()) })
+	e.ScheduleID(10, handlerFunc(func(uint64) {
 		hits = append(hits, e.Now())
-		e.After(5, func() { hits = append(hits, e.Now()) })
-	})
+		e.AfterID(5, record, 0)
+	}), 0)
 	e.Run()
 	if len(hits) != 2 || hits[0] != 10 || hits[1] != 15 {
 		t.Fatalf("nested scheduling produced %v", hits)
@@ -98,14 +98,15 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	rec := &orderRecorder{}
+	e.ScheduleID(10, rec, 0)
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	e.Schedule(5, func() {})
+	e.ScheduleID(5, rec, 0)
 }
 
 func TestEngineNegativeDelayPanics(t *testing.T) {
@@ -115,17 +116,17 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 			t.Fatal("expected panic for negative delay")
 		}
 	}()
-	e.After(-1, func() {})
+	e.AfterID(-1, &orderRecorder{}, 0)
 }
 
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
-	fired := 0
-	e.Schedule(10, func() { fired++ })
-	e.Schedule(20, func() { fired++ })
-	e.Schedule(30, func() { fired++ })
+	rec := &orderRecorder{}
+	e.ScheduleID(10, rec, 0)
+	e.ScheduleID(20, rec, 0)
+	e.ScheduleID(30, rec, 0)
 	e.RunUntil(20)
-	if fired != 2 {
+	if fired := len(rec.got); fired != 2 {
 		t.Fatalf("RunUntil(20) fired %d events, want 2", fired)
 	}
 	if e.Now() != 20 {
@@ -146,7 +147,7 @@ func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 
 func TestEngineRunFor(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(5, func() {})
+	e.ScheduleID(5, &orderRecorder{}, 0)
 	e.Run()
 	e.RunFor(10)
 	if e.Now() != 15 {
@@ -156,8 +157,9 @@ func TestEngineRunFor(t *testing.T) {
 
 func TestEngineFiredCount(t *testing.T) {
 	e := NewEngine()
+	rec := &orderRecorder{}
 	for i := Time(1); i <= 100; i++ {
-		e.Schedule(i, func() {})
+		e.ScheduleID(i, rec, 0)
 	}
 	e.Run()
 	if e.Fired() != 100 {

@@ -1,7 +1,7 @@
 // Root kernel benchmarks: the steady-state schedule->fire loop of the
-// discrete-event engine, closure vs closure-free, plus a cold-cell
-// end-to-end run. scripts/bench.sh records them into BENCH_<n>.json and CI
-// runs a short -benchtime=100x smoke pass so they cannot bit-rot.
+// discrete-event engine, plus cold- and warm-cell end-to-end runs.
+// scripts/bench.sh records them into BENCH_<n>.json and CI runs a short
+// -benchtime=100x smoke pass so they cannot bit-rot.
 package main
 
 import (
@@ -21,7 +21,7 @@ func (c *benchChurn) Handle(arg uint64) {
 	c.eng.ScheduleID(c.eng.Now()+sim.Time(1+arg%97), c, arg+1)
 }
 
-// BenchmarkKernelScheduleID measures the closure-free hot path. Expected
+// BenchmarkKernelScheduleID measures the event loop's hot path. Expected
 // steady state: 0 allocs/op.
 func BenchmarkKernelScheduleID(b *testing.B) {
 	eng := sim.NewEngine()
@@ -29,27 +29,6 @@ func BenchmarkKernelScheduleID(b *testing.B) {
 	const population = 128
 	for i := 0; i < population; i++ {
 		eng.ScheduleID(sim.Time(i), h, uint64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step()
-	}
-}
-
-// BenchmarkKernelScheduleClosure measures the compatibility shim the way
-// the old hot path used it: every reschedule allocates a fresh capturing
-// closure (the former gpu.step pattern `func() { g.step(w) }`).
-func BenchmarkKernelScheduleClosure(b *testing.B) {
-	eng := sim.NewEngine()
-	var reschedule func(arg uint64)
-	reschedule = func(arg uint64) {
-		eng.Schedule(eng.Now()+sim.Time(1+arg%97), func() { reschedule(arg + 1) })
-	}
-	const population = 128
-	for i := 0; i < population; i++ {
-		i := uint64(i)
-		eng.Schedule(sim.Time(i), func() { reschedule(i) })
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
