@@ -126,11 +126,15 @@ func BenchmarkSingleRun(b *testing.B) {
 		{config.Oracle, config.Planar},
 	} {
 		pm := pm
+		w, ok := config.WorkloadByName("bfsdata")
+		if !ok {
+			b.Fatal("bfsdata missing")
+		}
 		b.Run(pm.p.String()+"/"+pm.m.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := config.Default(pm.p, pm.m)
 				cfg.MaxInstructions = 2000
-				if _, err := core.RunConfig(cfg, "bfsdata"); err != nil {
+				if _, _, err := core.Run(nil, cfg, w); err != nil {
 					b.Fatal(err)
 				}
 			}

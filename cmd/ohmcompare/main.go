@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -20,18 +21,20 @@ func main() {
 	if len(os.Args) > 1 {
 		wl = os.Args[1]
 	}
+	w, ok := config.WorkloadByName(wl)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "ohmcompare: unknown workload %q (Table II names: %v)\n", wl, config.WorkloadNames())
+		os.Exit(1)
+	}
 	for _, m := range config.AllModes() {
 		fmt.Println("== mode:", m, "workload:", wl)
 		for _, p := range config.AllPlatforms() {
 			cfg := config.Default(p, m)
-			sys, err := core.NewSystem(cfg)
+			sys, err := core.NewSystem(nil, cfg)
 			if err != nil {
 				panic(err)
 			}
-			rep, err := sys.RunWorkload(wl)
-			if err != nil {
-				panic(err)
-			}
+			rep := sys.RunTrace(trace.Cached(w, &sys.Cfg))
 			fmt.Printf("%-9s ipc=%.3f lat=%s copy=%.2f migr=%d xpR=%d reqs=%d",
 				p, rep.IPC, rep.MeanLatency, rep.CopyFraction, rep.Migrations,
 				sys.Mem.XPointReads, rep.MemRequests)

@@ -32,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/prof"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/twin"
 )
 
@@ -94,11 +95,14 @@ func main() {
 		}
 		sort.Strings(components)
 	} else {
-		sys, err := core.NewSystem(sc.Config)
+		// The System is kept (not core.Run) for its device counters below;
+		// the scenario was validated, trace budget included, when it was
+		// resolved.
+		sys, err := core.NewSystem(nil, sc.Config)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		rep = sys.RunWorkloadDef(sc.Workload)
+		rep = sys.RunTrace(trace.Cached(sc.Workload, &sys.Cfg))
 		components = sys.Col.EnergyComponents()
 		devices = &deviceCounters{
 			MCReads:        sys.Col.Reads,

@@ -12,10 +12,15 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 func main() {
 	const workload = "bfsdata"
+	w, ok := config.WorkloadByName(workload)
+	if !ok {
+		log.Fatalf("%s is not a Table II workload", workload)
+	}
 	fmt.Printf("Two-level mode, %s: where does migration traffic go?\n\n", workload)
 	fmt.Printf("%-9s %12s %12s %14s %12s %10s\n",
 		"platform", "migrations", "moved(MiB)", "dual-route", "copy-busy", "IPC")
@@ -23,14 +28,13 @@ func main() {
 	for _, p := range []config.Platform{config.OhmBase, config.AutoRW, config.OhmWOM, config.OhmBW} {
 		cfg := config.Default(p, config.TwoLevel)
 		cfg.MaxInstructions = 6000
-		sys, err := core.NewSystem(cfg)
+		// The System itself is kept: its collector holds the migrated and
+		// dual-route byte counts the report does not carry.
+		sys, err := core.NewSystem(nil, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := sys.RunWorkload(workload)
-		if err != nil {
-			log.Fatal(err)
-		}
+		rep := sys.RunTrace(trace.Cached(w, &sys.Cfg))
 		fmt.Printf("%-9s %12d %12.1f %13.1f%% %11.1f%% %10.3f\n",
 			p,
 			rep.Migrations,

@@ -24,11 +24,15 @@ func main() {
 
 	// Start-Gap on vs off, same platform: wear concentration.
 	fmt.Println("Start-Gap's effect on the worst line (Ohm-BW, backp):")
+	backp, ok := config.WorkloadByName("backp")
+	if !ok {
+		log.Fatal("backp is not a Table II workload")
+	}
 	for _, k := range []int{0, 100} {
 		cfg := config.Default(config.OhmBW, config.Planar)
 		cfg.XPoint.StartGapK = k
 		cfg.MaxInstructions = 6000
-		rep, err := core.RunConfig(cfg, "backp")
+		rep, _, err := core.Run(nil, cfg, backp)
 		if err != nil {
 			log.Fatal(err)
 		}

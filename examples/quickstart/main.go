@@ -2,9 +2,13 @@
 // the pagerank workload, and print the headline numbers. This is the
 // smallest complete use of the library's public API:
 //
-//	config.Default  -> a Table I configuration for a platform + mode
-//	core.NewSystem  -> an assembled GPU + Ohm memory system
-//	RunWorkload     -> execute a Table II workload, get a stats.Report
+//	config.Default        -> a Table I configuration for a platform + mode
+//	config.WorkloadByName -> a Table II workload definition
+//	core.Run              -> assemble the GPU + Ohm memory system, run the
+//	                         workload on it, get a stats.Report
+//
+// A one-shot program passes core.Run a nil run state: there is no next
+// cell to recycle device arrays for.
 package main
 
 import (
@@ -19,11 +23,11 @@ func main() {
 	cfg := config.Default(config.OhmBW, config.Planar)
 	cfg.MaxInstructions = 8000 // shorten the default 20k-instruction run
 
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		log.Fatal(err)
+	w, ok := config.WorkloadByName("pagerank")
+	if !ok {
+		log.Fatal("pagerank is not a Table II workload")
 	}
-	rep, err := sys.RunWorkload("pagerank")
+	rep, _, err := core.Run(nil, cfg, w)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +40,7 @@ func main() {
 	fmt.Printf("  channel copy     %.1f%% of data-route bandwidth\n", 100*rep.CopyFraction)
 
 	// Compare against the DRAM-only baseline in one call.
-	base, err := core.RunConfig(withInstr(config.Default(config.OhmBase, config.Planar), 8000), "pagerank")
+	base, _, err := core.Run(nil, withInstr(config.Default(config.OhmBase, config.Planar), 8000), w)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // mustCells expands a spec, failing the test on spec errors.
@@ -30,9 +31,9 @@ func mustCells(t *testing.T, spec SweepSpec) []Cell {
 }
 
 // fakeRun is a deterministic, instant RunFunc for engine-mechanics tests.
-func fakeRun(cfg config.Config, workload string) (stats.Report, error) {
+func fakeRun(cfg config.Config, w config.Workload) (stats.Report, error) {
 	return stats.Report{
-		IPC:         float64(cfg.Platform) + float64(len(workload)),
+		IPC:         float64(cfg.Platform) + float64(len(w.Name)),
 		Elapsed:     sim.Time(cfg.MaxInstructions) * sim.Nanosecond,
 		MeanLatency: sim.Time(cfg.Optical.Waveguides) * sim.Microsecond,
 		EnergyPJ:    map[string]float64{"laser": float64(cfg.Mode) + 1},
@@ -207,7 +208,7 @@ func TestParallelMatchesSerialRealSim(t *testing.T) {
 		MaxInstructions: 400,
 	}
 	cells := mustCells(t, spec)
-	serial := runAll(t, 1, nil, nil, cells) // nil RunFn = core.RunConfig
+	serial := runAll(t, 1, nil, nil, cells) // nil RunFn = core.Run
 	parallel := runAll(t, 4, nil, nil, cells)
 	if string(serial) != string(parallel) {
 		t.Fatal("parallel real-sim sweep output differs from serial")
@@ -223,7 +224,7 @@ func TestParallelMatchesSerialRealSim(t *testing.T) {
 
 func TestWarmCacheSkipsSimulation(t *testing.T) {
 	var calls atomic.Int64
-	counting := func(cfg config.Config, w string) (stats.Report, error) {
+	counting := func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		calls.Add(1)
 		return fakeRun(cfg, w)
 	}
@@ -308,9 +309,50 @@ func TestExperimentVariantsCache(t *testing.T) {
 	}
 }
 
+// TestRunnerRejectsInvalidWorkloads: a cell built outside spec expansion
+// (a dist worker's wire cell, an optimizer candidate) gets the workload
+// checks at run time. An invalid or over-budget inline definition fails
+// in core.Run before any trace is generated or pinned, and an unknown
+// Table II name fails before reaching either the simulator or a RunFn.
+func TestRunnerRejectsInvalidWorkloads(t *testing.T) {
+	cfg := config.Default(config.OhmBW, config.Planar)
+	cfg.MaxInstructions = 200
+	noAPKI := config.Workload{Name: "no-apki", APKI: 0, ReadRatio: 0.9, FootprintScale: 1, HotSkew: 1}
+	// 1024 footprint units over 896-byte pages is ~9.6M trace pages, just
+	// over config.MaxTracePages.
+	big := config.Workload{Name: "big", APKI: 100, ReadRatio: 0.9, FootprintScale: 1024, HotSkew: 1}
+	bigCfg := cfg
+	bigCfg.Memory.PageBytes = 896
+	for _, tc := range []struct {
+		name string
+		cell Cell
+		want string
+	}{
+		{"apki 0", Cell{Config: cfg, Workload: noAPKI.Name, WorkloadDef: &noAPKI}, "apki"},
+		{"over the trace-page budget", Cell{Config: bigCfg, Workload: big.Name, WorkloadDef: &big}, "trace pages"},
+	} {
+		before := trace.CacheLen()
+		_, err := NewRunner(1, nil).Run([]Cell{tc.cell})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if got := trace.CacheLen(); got != before {
+			t.Errorf("%s: trace registry grew %d -> %d", tc.name, before, got)
+		}
+	}
+
+	unknown := Cell{Config: cfg, Workload: "no-such-kernel"}
+	for _, r := range []*Runner{NewRunner(1, nil), {Workers: 1, RunFn: fakeRun}} {
+		_, err := r.Run([]Cell{unknown})
+		if err == nil || !strings.Contains(err.Error(), `unknown workload "no-such-kernel"`) {
+			t.Errorf("fake RunFn=%v: err = %v, want one naming the unknown workload", r.RunFn != nil, err)
+		}
+	}
+}
+
 func TestRunReportsLowestFailingCell(t *testing.T) {
 	boom := errors.New("boom")
-	run := func(cfg config.Config, w string) (stats.Report, error) {
+	run := func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		if cfg.Platform == config.Hetero {
 			return stats.Report{}, boom
 		}
@@ -388,7 +430,7 @@ func TestDiskCacheCorruptedEntryIsMissAndRewritten(t *testing.T) {
 		}
 
 		var calls atomic.Int64
-		counting := func(cfg config.Config, w string) (stats.Report, error) {
+		counting := func(cfg config.Config, w config.Workload) (stats.Report, error) {
 			calls.Add(1)
 			return fakeRun(cfg, w)
 		}
@@ -420,7 +462,7 @@ func TestDiskCacheCorruptedEntryIsMissAndRewritten(t *testing.T) {
 func TestSingleFlightSharesOneSimulation(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
-	blocking := func(cfg config.Config, w string) (stats.Report, error) {
+	blocking := func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		calls.Add(1)
 		<-release
 		return fakeRun(cfg, w)
@@ -473,7 +515,7 @@ func TestRunContextCancelStopsScheduling(t *testing.T) {
 	var calls atomic.Int64
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	blocking := func(cfg config.Config, w string) (stats.Report, error) {
+	blocking := func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		calls.Add(1)
 		select {
 		case started <- struct{}{}:
@@ -559,7 +601,7 @@ func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
 	var simulations atomic.Int64
-	run := func(cfg config.Config, w string) (stats.Report, error) {
+	run := func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		simulations.Add(1)
 		started <- struct{}{}
 		<-release
@@ -616,7 +658,7 @@ func TestFollowerSurvivesLeaderCancellation(t *testing.T) {
 func TestMissesCountOnlyRealSimulations(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
-	run := func(cfg config.Config, w string) (stats.Report, error) {
+	run := func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		started <- struct{}{}
 		<-release
 		return fakeRun(cfg, w)

@@ -37,10 +37,10 @@ type Runner struct {
 	// Cache, when non-nil, short-circuits cells whose content address has a
 	// stored report and stores fresh results.
 	Cache Cache
-	// RunFn, when non-nil, replaces the simulator for name-resolved DES
-	// cells. Cells carrying an inline WorkloadDef bypass it and always
-	// simulate their definition. It is a test seam: tests inject counters
-	// here to prove warm-cache runs never simulate.
+	// RunFn, when non-nil, replaces core.Run for DES cells; it receives the
+	// cell's config and resolved workload (inline definition or Table II
+	// entry). It is a test seam: tests inject counters here to prove
+	// warm-cache runs never simulate.
 	RunFn RunFunc
 
 	hits       atomic.Uint64
@@ -170,13 +170,10 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 			// trace's distribution in closed form.
 			continue
 		}
-		switch {
-		case c.WorkloadDef != nil:
-			pins.Add(*c.WorkloadDef, &c.Config)
-		case r.RunFn == nil:
-			if w, ok := config.WorkloadByName(c.Workload); ok {
-				pins.Add(w, &c.Config)
-			}
+		// A workload core.Run would reject never reads a trace either.
+		if w, err := c.workload(); err == nil && w.Validate() == nil &&
+			config.ValidateTraceBudget(w, &c.Config) == nil {
+			pins.Add(w, &c.Config)
 		}
 	}
 
@@ -401,8 +398,12 @@ joinFlight:
 // and arenas instead of reallocating them. Reports are value snapshots,
 // so releasing the state after the run never aliases a returned report.
 func (r *Runner) simulate(ctx context.Context, c Cell) (stats.Report, obs.Phases, error) {
+	w, err := c.workload()
+	if err != nil {
+		return stats.Report{}, obs.Phases{}, err
+	}
 	if c.Exec == config.ExecAnalytical {
-		return r.estimate(ctx, c)
+		return r.estimate(ctx, c, w)
 	}
 	if err := r.acquire(ctx); err != nil {
 		return stats.Report{}, obs.Phases{}, err
@@ -410,21 +411,13 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (stats.Report, obs.Phases
 	defer r.release()
 	r.misses.Add(1)
 	mCacheMisses.Inc()
-	if r.RunFn != nil && c.WorkloadDef == nil {
-		// A cell carrying an inline workload definition is self-describing:
-		// it always simulates from that definition. Routing it through
-		// RunFn — which only sees the workload *name* — would run the
-		// Table II namesake (or fail on an unknown name) while the cache
-		// keyed on the custom definition.
-		rep, err := r.RunFn(c.Config, c.Workload)
+	if r.RunFn != nil {
+		rep, err := r.RunFn(c.Config, w)
 		return rep, obs.Phases{}, err
 	}
 	st := core.AcquireRunState()
 	defer core.ReleaseRunState(st)
-	if c.WorkloadDef != nil {
-		return core.RunWorkloadDefTimedIn(st, c.Config, *c.WorkloadDef)
-	}
-	return core.RunConfigTimedIn(st, c.Config, c.Workload)
+	return core.Run(st, c.Config, w)
 }
 
 // The analytical twin models the PCIe host link and static hot sets only;
@@ -441,18 +434,9 @@ var (
 // something they are not. Estimates still take a simulation slot and count
 // as misses: the accounting invariant is "misses computed a result here",
 // not "misses ran the event loop", and a slot held for ~20µs costs nothing.
-func (r *Runner) estimate(ctx context.Context, c Cell) (stats.Report, obs.Phases, error) {
+func (r *Runner) estimate(ctx context.Context, c Cell, w config.Workload) (stats.Report, obs.Phases, error) {
 	if c.Config.Memory.HostLink != config.HostPCIe {
 		return stats.Report{}, obs.Phases{}, fmt.Errorf("%w (host link %q)", ErrAnalyticalHostLink, c.Config.Memory.HostLink)
-	}
-	w := config.Workload{}
-	if c.WorkloadDef != nil {
-		w = *c.WorkloadDef
-	} else {
-		var ok bool
-		if w, ok = config.WorkloadByName(c.Workload); !ok {
-			return stats.Report{}, obs.Phases{}, fmt.Errorf("batch: analytical mode: unknown workload %q", c.Workload)
-		}
 	}
 	if w.Phases > 1 {
 		return stats.Report{}, obs.Phases{}, fmt.Errorf("%w (workload %q, %d phases)", ErrAnalyticalPhases, w.Name, w.Phases)

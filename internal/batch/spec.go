@@ -46,9 +46,9 @@ type Cell struct {
 	Overrides map[string]interface{} `json:"overrides,omitempty"`
 }
 
-// RunFunc executes one name-resolved cell and returns its report (the
-// signature of Runner.RunFn).
-type RunFunc func(cfg config.Config, workload string) (stats.Report, error)
+// RunFunc executes one DES cell's resolved config and workload and returns
+// its report (the signature of Runner.RunFn).
+type RunFunc func(cfg config.Config, w config.Workload) (stats.Report, error)
 
 // String identifies the cell in errors and logs, including any override
 // patch so two cells of one sweep axis stay distinguishable.
@@ -58,6 +58,19 @@ func (c Cell) String() string {
 		s += "@" + overridesLabel(c.Overrides)
 	}
 	return s
+}
+
+// workload resolves the cell's workload: its inline definition if it
+// carries one, else the Table II entry it names.
+func (c *Cell) workload() (config.Workload, error) {
+	if c.WorkloadDef != nil {
+		return *c.WorkloadDef, nil
+	}
+	if w, ok := config.WorkloadByName(c.Workload); ok {
+		return w, nil
+	}
+	return config.Workload{}, fmt.Errorf("batch: unknown workload %q (Table II names: %v)",
+		c.Workload, config.WorkloadNames())
 }
 
 // Axis is one override axis: the list of values a dotted config path

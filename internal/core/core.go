@@ -6,19 +6,21 @@
 //
 // Typical use:
 //
-//	sys, err := core.NewSystem(config.Default(config.OhmBW, config.Planar))
-//	rep, err := sys.RunWorkload("pagerank")
+//	w, _ := config.WorkloadByName("pagerank")
+//	rep, _, err := core.Run(nil, config.Default(config.OhmBW, config.Planar), w)
 //	fmt.Println(rep.IPC, rep.MeanLatency)
 package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/energy"
 	"repro/internal/gpu"
 	"repro/internal/hmem"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -36,22 +38,39 @@ type System struct {
 	model energy.Model
 }
 
-// NewSystem builds a platform from a configuration; spill traffic takes
-// the host link cfg.Memory.HostLink names.
-func NewSystem(cfg config.Config) (*System, error) {
+// NewSystem builds a platform from a configuration into a run state; spill
+// traffic takes the host link cfg.Memory.HostLink names. A nil st builds
+// into a new empty state. The components are reinitialized through the
+// same construction path either way (every New is NewIn(nil, ...)), which
+// is what guarantees a System built into a recycled state produces
+// byte-identical reports.
+func NewSystem(st *RunState, cfg config.Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	col := stats.NewCollector()
-	mem, err := hmem.New(&cfg, col, nil)
+	if st == nil {
+		st = new(RunState)
+	}
+	if st.col == nil {
+		st.col = stats.NewCollector()
+	} else {
+		st.col.Reset()
+	}
+	if st.pools == nil {
+		st.pools = &sim.Pools{}
+	}
+	st.pools.Reset()
+	mem, err := hmem.NewIn(st.mem, st.pools, &cfg, st.col, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: memory system: %w", err)
 	}
-	g, err := gpu.New(&cfg, col, mem)
+	st.mem = mem
+	g, err := gpu.NewIn(st.gpu, st.pools, &cfg, st.col, mem)
 	if err != nil {
 		return nil, fmt.Errorf("core: gpu: %w", err)
 	}
-	return &System{Cfg: cfg, Col: col, Mem: mem, GPU: g, model: energy.Default()}, nil
+	st.gpu = g
+	return &System{Cfg: cfg, Col: st.col, Mem: mem, GPU: g, model: energy.Default()}, nil
 }
 
 // RunTrace executes a prepared trace and returns the run report.
@@ -69,62 +88,39 @@ func (s *System) RunTrace(tr *trace.Trace) stats.Report {
 	return s.Col.Snapshot(elapsed, s.Cfg.GPU.CoreFreqHz)
 }
 
-// RunWorkload runs the named Table II workload. The trace comes from the
-// in-process registry (traces are deterministic in the config), so
-// multi-cell sweeps generate each distinct trace once instead of once per
-// cell; execution never mutates it.
-func (s *System) RunWorkload(name string) (stats.Report, error) {
-	tr, err := trace.CachedByName(name, &s.Cfg)
-	if err != nil {
-		return stats.Report{}, err
+// Run simulates one cell: workload w on the platform cfg describes, built
+// into st (nil builds fresh). The workload is checked (Validate and the
+// trace-page budget) before its trace is looked up, so a definition
+// decoded from an untrusted spec or the wire cannot reach trace generation
+// unvalidated. The trace comes from the in-process registry, which keys on
+// the full definition (traces are deterministic in the config and never
+// mutated by a run).
+//
+// The phases are the wall-clock split of platform construction, trace
+// generation (near zero when the registry already holds the trace) and the
+// discrete-event loop. Timing rides alongside, never inside, the pinned
+// stats.Report.
+func Run(st *RunState, cfg config.Config, w config.Workload) (stats.Report, obs.Phases, error) {
+	var ph obs.Phases
+	if err := w.Validate(); err != nil {
+		return stats.Report{}, ph, fmt.Errorf("core: %w", err)
 	}
-	return s.RunTrace(tr), nil
-}
-
-// RunWorkloadDef runs an explicit workload definition — an inline custom
-// workload from a scenario spec, or a Table II struct. The trace registry
-// keys on the full definition, so two custom workloads sharing a name get
-// distinct traces, and a definition equal to a Table II entry shares that
-// entry's cached trace.
-func (s *System) RunWorkloadDef(w config.Workload) stats.Report {
-	return s.RunTrace(trace.Cached(w, &s.Cfg))
-}
-
-// Run builds a fresh system for (platform, mode) and runs one workload;
-// this is the one-call entry point used by experiments and benchmarks.
-func Run(p config.Platform, m config.MemMode, workload string) (stats.Report, error) {
-	sys, err := NewSystem(config.Default(p, m))
+	t := time.Now()
+	sys, err := NewSystem(st, cfg)
+	ph.PlatformBuild = time.Since(t)
 	if err != nil {
-		return stats.Report{}, err
+		return stats.Report{}, ph, err
 	}
-	return sys.RunWorkload(workload)
-}
-
-// RunConfig builds a system from an explicit config and runs one workload.
-func RunConfig(cfg config.Config, workload string) (stats.Report, error) {
-	rep, _, err := RunConfigTimed(cfg, workload)
-	return rep, err
-}
-
-// RunConfigTimed is RunConfig with a wall-clock split of the three
-// per-cell phases: platform construction, trace generation (near zero
-// when the in-process registry already holds the trace) and the
-// discrete-event loop. The report is identical to RunConfig's — timing
-// rides alongside, never inside, the pinned stats.Report.
-func RunConfigTimed(cfg config.Config, workload string) (stats.Report, obs.Phases, error) {
-	return RunConfigTimedIn(nil, cfg, workload)
-}
-
-// RunWorkloadDef builds a system from an explicit config and runs an
-// explicit workload definition (the custom-workload counterpart of
-// RunConfig, used by the batch engine for spec-defined workloads).
-func RunWorkloadDef(cfg config.Config, w config.Workload) (stats.Report, error) {
-	rep, _, err := RunWorkloadDefTimed(cfg, w)
-	return rep, err
-}
-
-// RunWorkloadDefTimed is RunWorkloadDef with the same phase split as
-// RunConfigTimed.
-func RunWorkloadDefTimed(cfg config.Config, w config.Workload) (stats.Report, obs.Phases, error) {
-	return RunWorkloadDefTimedIn(nil, cfg, w)
+	// After NewSystem: the budget divides by a page size only a valid
+	// config guarantees to be positive.
+	if err := config.ValidateTraceBudget(w, &sys.Cfg); err != nil {
+		return stats.Report{}, ph, fmt.Errorf("core: %w", err)
+	}
+	t = time.Now()
+	tr := trace.Cached(w, &sys.Cfg)
+	ph.TraceGen = time.Since(t)
+	t = time.Now()
+	rep := sys.RunTrace(tr)
+	ph.EventLoop = time.Since(t)
+	return rep, ph, nil
 }

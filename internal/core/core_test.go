@@ -1,10 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // fastCfg shrinks the instruction budget so full-system tests stay quick.
@@ -16,11 +18,7 @@ func fastCfg(p config.Platform, m config.MemMode) config.Config {
 
 func runFast(t *testing.T, p config.Platform, m config.MemMode, w string) stats.Report {
 	t.Helper()
-	sys, err := NewSystem(fastCfg(p, m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sys.RunWorkload(w)
+	rep, _, err := Run(nil, fastCfg(p, m), mustWorkload(t, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,18 +28,39 @@ func runFast(t *testing.T, p config.Platform, m config.MemMode, w string) stats.
 func TestNewSystemRejectsBadConfig(t *testing.T) {
 	cfg := config.Default(config.OhmBase, config.Planar)
 	cfg.GPU.MemCtrls = 0
-	if _, err := NewSystem(cfg); err == nil {
+	if _, err := NewSystem(nil, cfg); err == nil {
 		t.Fatal("accepted invalid config")
 	}
 }
 
-func TestRunWorkloadUnknownName(t *testing.T) {
-	sys, err := NewSystem(fastCfg(config.OhmBase, config.Planar))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.RunWorkload("nope"); err == nil {
-		t.Fatal("accepted unknown workload")
+// TestRunRejectsInvalidWorkload: Run checks the workload before it looks
+// up a trace, so a bad definition errors without generating one. The
+// zero value is what an unresolved name ("nope") leaves behind.
+func TestRunRejectsInvalidWorkload(t *testing.T) {
+	lud := mustWorkload(t, "lud")
+	noAPKI := lud
+	noAPKI.APKI = 0
+	huge := lud
+	huge.FootprintScale = config.MaxFootprintScale
+	overBudget := fastCfg(config.OhmBase, config.Planar)
+	overBudget.Memory.PageBytes = 256
+	for _, tc := range []struct {
+		name string
+		cfg  config.Config
+		w    config.Workload
+		want string
+	}{
+		{"unresolved name", fastCfg(config.OhmBase, config.Planar), config.Workload{}, "name is required"},
+		{"apki 0", fastCfg(config.OhmBase, config.Planar), noAPKI, "apki"},
+		{"over the trace-page budget", overBudget, huge, "trace pages"},
+	} {
+		before := trace.CacheLen()
+		if _, _, err := Run(nil, tc.cfg, tc.w); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run error = %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if got := trace.CacheLen(); got != before {
+			t.Errorf("%s: trace registry grew %d -> %d", tc.name, before, got)
+		}
 	}
 }
 
@@ -137,15 +156,18 @@ func TestTwoLevelMigrationEliminated(t *testing.T) {
 	}
 }
 
+// TestRunHelpers: Run on a default configuration, fresh and through a
+// pooled run state.
 func TestRunHelpers(t *testing.T) {
-	rep, err := Run(config.OhmBase, config.TwoLevel, "lud")
+	rep, _, err := Run(nil, config.Default(config.OhmBase, config.TwoLevel), mustWorkload(t, "lud"))
 	if err != nil || rep.Instructions == 0 {
 		t.Fatalf("Run: %v %+v", err, rep)
 	}
-	cfg := fastCfg(config.OhmBase, config.Planar)
-	rep2, err := RunConfig(cfg, "lud")
+	st := AcquireRunState()
+	defer ReleaseRunState(st)
+	rep2, _, err := Run(st, fastCfg(config.OhmBase, config.Planar), mustWorkload(t, "lud"))
 	if err != nil || rep2.Instructions == 0 {
-		t.Fatalf("RunConfig: %v", err)
+		t.Fatalf("Run (pooled): %v", err)
 	}
 }
 
@@ -207,11 +229,11 @@ func TestWaveguidesImproveOhmBase(t *testing.T) {
 	cfg1 := fastCfg(config.OhmBase, config.Planar)
 	cfg8 := fastCfg(config.OhmBase, config.Planar)
 	cfg8.Optical.Waveguides = 8
-	r1, err := RunConfig(cfg1, "betw")
+	r1, _, err := Run(nil, cfg1, mustWorkload(t, "betw"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := RunConfig(cfg8, "betw")
+	r8, _, err := Run(nil, cfg8, mustWorkload(t, "betw"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/energy"
 	"repro/internal/gpu"
 	"repro/internal/hmem"
 	"repro/internal/ssd"
@@ -59,14 +60,11 @@ func TestInRunCountersMatchPostRunReaders(t *testing.T) {
 	defer ReleaseRunState(st)
 	for _, tc := range cases {
 		for _, pooled := range []*RunState{nil, st} {
-			sys, err := NewSystemIn(pooled, tc.cfg)
+			sys, err := NewSystem(pooled, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := sys.RunWorkload("lud")
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep := sys.RunTrace(trace.Cached(mustWorkload(t, "lud"), &sys.Cfg))
 			for k, want := range tc.ref(sys) {
 				if want == 0 {
 					t.Fatalf("%s: reference %s is 0; the cell does not exercise it", tc.name, k)
@@ -86,11 +84,7 @@ func TestSSDHostLinkMatchesDevice(t *testing.T) {
 	cfg := config.Default(config.Origin, config.Planar)
 	cfg.MaxInstructions = 1500
 	cfg.Memory.HostLink = config.HostSSD
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sys.RunWorkload("lud")
+	rep, _, err := Run(nil, cfg, mustWorkload(t, "lud"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +99,7 @@ func TestSSDHostLinkMatchesDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := (&System{Cfg: cfg, Col: col, Mem: mem, GPU: g, model: sys.model}).RunTrace(trace.Cached(mustWorkload(t, "lud"), &cfg))
+	ref := (&System{Cfg: cfg, Col: col, Mem: mem, GPU: g, model: energy.Default()}).RunTrace(trace.Cached(mustWorkload(t, "lud"), &cfg))
 	if dev.FlashBusy() == 0 || dev.DMABusy() == 0 {
 		t.Fatal("the cell never staged through the ssd")
 	}

@@ -1,18 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"sync"
-	"time"
 
-	"repro/internal/config"
-	"repro/internal/energy"
 	"repro/internal/gpu"
 	"repro/internal/hmem"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // RunState owns the recyclable allocations of one simulation run: the
@@ -23,7 +17,7 @@ import (
 // of reallocating them.
 //
 // A RunState must never back two live Systems at once: the System returned
-// by NewSystemIn aliases the state's components, so release it only after
+// by NewSystem aliases the state's components, so release it only after
 // the run's Report has been taken (reports are value snapshots and remain
 // valid afterwards).
 type RunState struct {
@@ -50,80 +44,4 @@ func ReleaseRunState(st *RunState) {
 	if st != nil {
 		runStatePool.Put(st)
 	}
-}
-
-// NewSystemIn is NewSystem building into a recycled run state. A nil st
-// falls back to fresh construction, so callers can thread an optional
-// state through unconditionally. The components are reinitialized through
-// the same construction path fresh builds use (every New is NewIn(nil,
-// ...)), which is what guarantees a pooled System produces byte-identical
-// reports.
-func NewSystemIn(st *RunState, cfg config.Config) (*System, error) {
-	if st == nil {
-		return NewSystem(cfg)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if st.col == nil {
-		st.col = stats.NewCollector()
-	} else {
-		st.col.Reset()
-	}
-	if st.pools == nil {
-		st.pools = &sim.Pools{}
-	}
-	st.pools.Reset()
-	mem, err := hmem.NewIn(st.mem, st.pools, &cfg, st.col, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: memory system: %w", err)
-	}
-	st.mem = mem
-	g, err := gpu.NewIn(st.gpu, st.pools, &cfg, st.col, mem)
-	if err != nil {
-		return nil, fmt.Errorf("core: gpu: %w", err)
-	}
-	st.gpu = g
-	return &System{Cfg: cfg, Col: st.col, Mem: mem, GPU: g, model: energy.Default()}, nil
-}
-
-// RunConfigTimedIn is RunConfigTimed building the platform into a recycled
-// run state (nil st = fresh).
-func RunConfigTimedIn(st *RunState, cfg config.Config, workload string) (stats.Report, obs.Phases, error) {
-	var ph obs.Phases
-	t := time.Now()
-	sys, err := NewSystemIn(st, cfg)
-	ph.PlatformBuild = time.Since(t)
-	if err != nil {
-		return stats.Report{}, ph, err
-	}
-	t = time.Now()
-	tr, err := trace.CachedByName(workload, &sys.Cfg)
-	ph.TraceGen = time.Since(t)
-	if err != nil {
-		return stats.Report{}, ph, err
-	}
-	t = time.Now()
-	rep := sys.RunTrace(tr)
-	ph.EventLoop = time.Since(t)
-	return rep, ph, nil
-}
-
-// RunWorkloadDefTimedIn is RunWorkloadDefTimed building the platform into
-// a recycled run state (nil st = fresh).
-func RunWorkloadDefTimedIn(st *RunState, cfg config.Config, w config.Workload) (stats.Report, obs.Phases, error) {
-	var ph obs.Phases
-	t := time.Now()
-	sys, err := NewSystemIn(st, cfg)
-	ph.PlatformBuild = time.Since(t)
-	if err != nil {
-		return stats.Report{}, ph, err
-	}
-	t = time.Now()
-	tr := trace.Cached(w, &sys.Cfg)
-	ph.TraceGen = time.Since(t)
-	t = time.Now()
-	rep := sys.RunTrace(tr)
-	ph.EventLoop = time.Since(t)
-	return rep, ph, nil
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // TestPooledRunsByteIdentical is the pooling correctness gate: a shuffled
-// grid of cells runs twice, once with fresh per-cell construction and once
-// through a single reused RunState, and every report — including the Extra
+// grid of cells runs twice, once with fresh per-cell construction (nil
+// state) and once through a single reused RunState, and every report — including the Extra
 // map — must be byte-identical between the two. The shuffle makes each CI
 // run exercise a different platform/mode adjacency (the spare-stash and
 // scrub paths depend on what the previous cell left behind); the seed is
@@ -21,10 +21,7 @@ func TestPooledRunsByteIdentical(t *testing.T) {
 	type cell struct {
 		p config.Platform
 		m config.MemMode
-		w string
-		// def, when non-nil, runs the inline-definition path instead of a
-		// Table II name.
-		def *config.Workload
+		w config.Workload
 	}
 	custom := config.Workload{
 		Name: "pooled-custom", APKI: 60, ReadRatio: 0.7,
@@ -33,15 +30,15 @@ func TestPooledRunsByteIdentical(t *testing.T) {
 	var cells []cell
 	for _, p := range config.AllPlatforms() {
 		for _, m := range config.AllModes() {
-			cells = append(cells, cell{p: p, m: m, w: "bfstopo"})
+			cells = append(cells, cell{p: p, m: m, w: mustWorkload(t, "bfstopo")})
 		}
 	}
 	cells = append(cells,
-		cell{p: config.OhmWOM, m: config.Planar, w: "pagerank"},
-		cell{p: config.OhmBW, m: config.TwoLevel, w: "sssp"},
-		cell{p: config.Origin, m: config.Planar, w: "backp"},
-		cell{p: config.Hetero, m: config.TwoLevel, w: "lud"},
-		cell{p: config.OhmBase, m: config.Planar, def: &custom},
+		cell{p: config.OhmWOM, m: config.Planar, w: mustWorkload(t, "pagerank")},
+		cell{p: config.OhmBW, m: config.TwoLevel, w: mustWorkload(t, "sssp")},
+		cell{p: config.Origin, m: config.Planar, w: mustWorkload(t, "backp")},
+		cell{p: config.Hetero, m: config.TwoLevel, w: mustWorkload(t, "lud")},
+		cell{p: config.OhmBase, m: config.Planar, w: custom},
 	)
 	seed := time.Now().UnixNano()
 	t.Logf("shuffle seed %d", seed)
@@ -52,31 +49,19 @@ func TestPooledRunsByteIdentical(t *testing.T) {
 	defer ReleaseRunState(st)
 	for _, c := range cells {
 		cfg := fastCfg(c.p, c.m)
-		var label string
-		runBoth := func(dst *RunState) ([]byte, error) {
-			if c.def != nil {
-				rep, _, err := RunWorkloadDefTimedIn(dst, cfg, *c.def)
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(rep)
-			}
-			rep, _, err := RunConfigTimedIn(dst, cfg, c.w)
+		label := c.p.String() + "/" + c.m.String() + "/" + c.w.Name
+		run := func(dst *RunState) ([]byte, error) {
+			rep, _, err := Run(dst, cfg, c.w)
 			if err != nil {
 				return nil, err
 			}
 			return json.Marshal(rep)
 		}
-		if c.def != nil {
-			label = c.p.String() + "/" + c.m.String() + "/" + c.def.Name
-		} else {
-			label = c.p.String() + "/" + c.m.String() + "/" + c.w
-		}
-		fresh, err := runBoth(nil)
+		fresh, err := run(nil)
 		if err != nil {
 			t.Fatalf("%s fresh: %v", label, err)
 		}
-		pooled, err := runBoth(st)
+		pooled, err := run(st)
 		if err != nil {
 			t.Fatalf("%s pooled: %v", label, err)
 		}
@@ -95,11 +80,11 @@ func TestPooledRebuildAllocs(t *testing.T) {
 	cfg := fastCfg(config.OhmWOM, config.Planar)
 	st := AcquireRunState()
 	defer ReleaseRunState(st)
-	if _, err := NewSystemIn(st, cfg); err != nil {
+	if _, err := NewSystem(st, cfg); err != nil {
 		t.Fatal(err)
 	}
 	warm := testing.AllocsPerRun(20, func() {
-		if _, err := NewSystemIn(st, cfg); err != nil {
+		if _, err := NewSystem(st, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -110,6 +95,6 @@ func TestPooledRebuildAllocs(t *testing.T) {
 	// config copy); 8 leaves slack for toolchain drift without letting a
 	// real regression hide.
 	if warm > 8 {
-		t.Fatalf("warm NewSystemIn allocates %.0f objects per rebuild, want <= 8", warm)
+		t.Fatalf("warm NewSystem allocates %.0f objects per rebuild, want <= 8", warm)
 	}
 }

@@ -26,9 +26,9 @@ import (
 // fakeRun is an instant deterministic RunFunc so protocol tests don't pay
 // for real simulations; the cell's identity is recoverable from the
 // report, which is what the byte-identity assertions compare.
-func fakeRun(cfg config.Config, workload string) (stats.Report, error) {
+func fakeRun(cfg config.Config, w config.Workload) (stats.Report, error) {
 	return stats.Report{
-		IPC:      float64(cfg.Platform)*10 + float64(len(workload)),
+		IPC:      float64(cfg.Platform)*10 + float64(len(w.Name)),
 		Elapsed:  sim.Time(cfg.MaxInstructions) * sim.Nanosecond,
 		EnergyPJ: map[string]float64{"laser": float64(cfg.Mode) + 1},
 		Extra:    map[string]float64{},
@@ -339,10 +339,10 @@ func TestDistributedExperimentsMatchGolden(t *testing.T) {
 func TestSingleFlightAcrossJobsDistributed(t *testing.T) {
 	c := newCluster(t, -1, nil)
 	var sims atomic.Int64
-	counting := func(cfg config.Config, workload string) (stats.Report, error) {
+	counting := func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		sims.Add(1)
 		time.Sleep(5 * time.Millisecond)
-		return fakeRun(cfg, workload)
+		return fakeRun(cfg, w)
 	}
 
 	// Submit both jobs before any worker exists, so their cells are
@@ -404,7 +404,7 @@ func TestWorkStealing(t *testing.T) {
 	// The stalled worker finally answers: lease long gone, so the
 	// completion is flagged revoked and its report dropped (no live task
 	// key remains to verify it against).
-	rep, err := fakeRun(wc.Cell().Config, wc.Workload)
+	rep, err := fakeRun(wc.Cell().Config, config.Workload{Name: wc.Workload})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func TestCancelRevokesWorkerLeases(t *testing.T) {
 	}
 	// ...and a completion that raced the cancel is flagged revoked while
 	// its (valid, content-addressed) report is still accepted for cache.
-	rep, err := fakeRun(cells[0].Cell().Config, cells[0].Workload)
+	rep, err := fakeRun(cells[0].Cell().Config, config.Workload{Name: cells[0].Workload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +128,12 @@ func TestWorkerSIGTERMRequeuesInFlight(t *testing.T) {
 
 	release := make(chan struct{})
 	var once bool
-	blocking := func(cfg config.Config, workload string) (stats.Report, error) {
+	blocking := func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		if !once {
 			once = true // capacity 1: only the first cell blocks
 			<-release
 		}
-		return fakeRun(cfg, workload)
+		return fakeRun(cfg, w)
 	}
 	defer close(release)
 
@@ -188,7 +188,7 @@ func TestVersionSkewFailsLoudly(t *testing.T) {
 			t.Fatal("never leased the cell")
 		}
 	}
-	rep, err := fakeRun(wc.Cell().Config, wc.Workload)
+	rep, err := fakeRun(wc.Cell().Config, config.Workload{Name: wc.Workload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestWorkerErrorRetriesThenFails(t *testing.T) {
 		d.LeaseTTL = 10 * time.Minute
 		d.StealAfter = 10 * time.Minute
 	})
-	failing := func(cfg config.Config, workload string) (stats.Report, error) {
+	failing := func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		return stats.Report{}, errors.New("synthetic cell failure")
 	}
 	startWorker(t, c.ts.URL, failing, 1)

@@ -20,8 +20,8 @@ const (
 	// VerdictCulled marks a successive-halving candidate dropped at a
 	// low-fidelity rung; it was never evaluated at full fidelity.
 	VerdictCulled = "culled"
-	// VerdictInvalid marks a sampled configuration Config.Validate
-	// rejected; it was never evaluated.
+	// VerdictInvalid marks a sampled configuration Config.Validate or the
+	// trace-page budget rejected; it was never evaluated.
 	VerdictInvalid = "invalid"
 	// VerdictDuplicate marks a candidate whose override set repeats an
 	// earlier candidate's; it shares that candidate's evaluation.

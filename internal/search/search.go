@@ -286,6 +286,11 @@ func (s *run) cellFor(idx int, ov map[string]interface{}, fidelity int, exec con
 	if err := cfg.Validate(); err != nil {
 		return batch.Cell{}, err
 	}
+	// An axis such as memory.page_bytes changes the trace's page count, so
+	// the budget the base scenario passed must be checked per candidate.
+	if err := config.ValidateTraceBudget(sc.Workload, &cfg); err != nil {
+		return batch.Cell{}, err
+	}
 	cell := batch.Cell{
 		Index:     idx,
 		Platform:  sc.Preset.Platform,

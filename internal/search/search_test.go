@@ -285,6 +285,34 @@ func TestSingleAxisSearch(t *testing.T) {
 	}
 }
 
+// TestCandidateOverTraceBudgetIsInvalid: a candidate whose axis value
+// pushes the workload's trace past config.MaxTracePages is invalid even
+// though the base scenario is within budget. Twin-only (confirm_top 0), so
+// nothing would build the 33M-page trace if the check were missing.
+func TestCandidateOverTraceBudgetIsInvalid(t *testing.T) {
+	noConfirm := 0
+	spec := Spec{
+		Base: config.Spec{
+			Preset: "ohm-bw",
+			Mode:   "planar",
+			Workload: &config.WorkloadSpec{Inline: &config.Workload{
+				Name: "big", APKI: 100, ReadRatio: 0.9, FootprintScale: 1024, HotSkew: 1,
+			}},
+		},
+		Axes:       []Axis{{Path: "memory.page_bytes", Values: []interface{}{256.0}}},
+		Objectives: []Objective{{Metric: "throughput"}},
+		Search:     Strategy{Algorithm: AlgoRandom, Budget: 1, Seed: 1, ConfirmTop: &noConfirm},
+	}
+	res := runSpec(t, spec, localExec())
+	if len(res.Decisions) != 2 {
+		t.Fatalf("decisions = %d, want baseline + 1 candidate", len(res.Decisions))
+	}
+	d := res.Decisions[1]
+	if d.Verdict != VerdictInvalid || !strings.Contains(d.Reason, "trace pages") {
+		t.Fatalf("candidate verdict %q (%s), want %q naming the trace-page budget", d.Verdict, d.Reason, VerdictInvalid)
+	}
+}
+
 // TestCancellationPropagates: a cancelled context aborts the run with a
 // context error.
 func TestCancellationPropagates(t *testing.T) {

@@ -49,7 +49,7 @@ func TestRecoverRequeuesInFlightJob(t *testing.T) {
 	// (jobB cell 3) wedges, pinning the "crash" mid-sweep.
 	var calls atomic.Int64
 	gate := make(chan struct{})
-	wedgedRun := func(cfg config.Config, w string) (stats.Report, error) {
+	wedgedRun := func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		if calls.Add(1) > 3 {
 			<-gate
 		}
@@ -113,7 +113,7 @@ func TestRecoverRequeuesInFlightJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner2 := &batch.Runner{Workers: 2, Cache: dc2, RunFn: func(cfg config.Config, w string) (stats.Report, error) {
+	runner2 := &batch.Runner{Workers: 2, Cache: dc2, RunFn: func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		fresh.Add(1)
 		return fakeRun(cfg, w)
 	}}
@@ -226,11 +226,12 @@ func TestRecoverGoldenByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	runner1 := batch.NewRunner(4, dc1)
-	runner1.RunFn = func(cfg config.Config, w string) (stats.Report, error) {
+	runner1.RunFn = func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		if calls.Add(1) > 3 {
 			<-gate
 		}
-		return core.RunConfig(cfg, w)
+		rep, _, err := core.Run(nil, cfg, w)
+		return rep, err
 	}
 	j1, _, err := OpenJournal(jpath)
 	if err != nil {
@@ -346,7 +347,7 @@ func TestRecoverReplaysCombinedModeJob(t *testing.T) {
 	// the "crash".
 	var calls atomic.Int64
 	gate := make(chan struct{})
-	wedgedRun := func(cfg config.Config, w string) (stats.Report, error) {
+	wedgedRun := func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		if calls.Add(1) > 1 {
 			<-gate
 		}
@@ -394,7 +395,7 @@ func TestRecoverReplaysCombinedModeJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner2 := &batch.Runner{Workers: 2, Cache: dc2, RunFn: func(cfg config.Config, w string) (stats.Report, error) {
+	runner2 := &batch.Runner{Workers: 2, Cache: dc2, RunFn: func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		freshDES.Add(1)
 		return fakeRun(cfg, w)
 	}}

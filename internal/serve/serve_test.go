@@ -22,9 +22,9 @@ import (
 
 // fakeRun is an instant deterministic RunFunc for API-mechanics tests that
 // don't need a real simulation.
-func fakeRun(cfg config.Config, workload string) (stats.Report, error) {
+func fakeRun(cfg config.Config, w config.Workload) (stats.Report, error) {
 	return stats.Report{
-		IPC:      float64(cfg.Platform) + float64(len(workload)),
+		IPC:      float64(cfg.Platform) + float64(len(w.Name)),
 		Elapsed:  sim.Time(cfg.MaxInstructions) * sim.Nanosecond,
 		EnergyPJ: map[string]float64{"laser": 1},
 		Extra:    map[string]float64{},
@@ -219,7 +219,7 @@ func TestSweepJobFormats(t *testing.T) {
 func gatedRunner(workers int, calls *atomic.Int64) (*batch.Runner, chan struct{}, chan struct{}) {
 	started := make(chan struct{}, 64)
 	release := make(chan struct{})
-	run := func(cfg config.Config, w string) (stats.Report, error) {
+	run := func(cfg config.Config, w config.Workload) (stats.Report, error) {
 		calls.Add(1)
 		started <- struct{}{}
 		<-release

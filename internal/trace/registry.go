@@ -172,16 +172,6 @@ func (p *Pins) Release() {
 	regMu.Unlock()
 }
 
-// CachedByName resolves a Table II workload name and returns its shared
-// trace; the drop-in cached variant of GenerateByName.
-func CachedByName(name string, c *config.Config) (*Trace, error) {
-	w, ok := config.WorkloadByName(name)
-	if !ok {
-		return nil, unknownWorkloadErr(name)
-	}
-	return Cached(w, c), nil
-}
-
 // ResetCache drops all cached traces (tests, or reclaiming memory between
 // sweeps over disjoint geometries).
 func ResetCache() {

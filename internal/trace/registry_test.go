@@ -76,10 +76,3 @@ func TestCachedConcurrentSingleGeneration(t *testing.T) {
 		t.Fatalf("cache holds %d traces, want 1", CacheLen())
 	}
 }
-
-func TestCachedByNameUnknown(t *testing.T) {
-	c := config.Default(config.Oracle, config.Planar)
-	if _, err := CachedByName("nope", &c); err == nil {
-		t.Fatal("unknown workload must error")
-	}
-}

@@ -232,22 +232,6 @@ func Generate(w config.Workload, c *config.Config) *Trace {
 	return t
 }
 
-// GenerateByName is a convenience wrapper resolving a Table II name. It
-// always generates a fresh private trace; use CachedByName on paths that
-// only read the trace.
-func GenerateByName(name string, c *config.Config) (*Trace, error) {
-	w, ok := config.WorkloadByName(name)
-	if !ok {
-		return nil, unknownWorkloadErr(name)
-	}
-	return Generate(w, c), nil
-}
-
-func unknownWorkloadErr(name string) error {
-	return fmt.Errorf("trace: unknown workload %q (Table II names: %v)",
-		name, config.WorkloadNames())
-}
-
 // hashName folds a workload name into the RNG seed so two workloads with the
 // same config still get distinct streams.
 func hashName(s string) uint64 {

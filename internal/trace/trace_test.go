@@ -141,16 +141,6 @@ func TestGraphWorkloadsHotterThanDense(t *testing.T) {
 	}
 }
 
-func TestGenerateByName(t *testing.T) {
-	c := testConfig()
-	if _, err := GenerateByName("pagerank", &c); err != nil {
-		t.Fatalf("GenerateByName(pagerank): %v", err)
-	}
-	if _, err := GenerateByName("doesnotexist", &c); err == nil {
-		t.Fatal("GenerateByName accepted unknown workload")
-	}
-}
-
 func TestMeasureEmptyTrace(t *testing.T) {
 	tr := &Trace{Name: "empty", PageBytes: 4096}
 	s := tr.Measure()

@@ -50,7 +50,7 @@ func BenchmarkKernelColdCell(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr := trace.Generate(w, &cfg)
-		sys, err := core.NewSystem(cfg)
+		sys, err := core.NewSystem(nil, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,18 +58,23 @@ func BenchmarkKernelColdCell(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelWarmCell is the same cell with the shared trace registry
-// warm — the steady-state unit cost of a large sweep.
+// BenchmarkKernelWarmCell is the same cell as a warm sweep cell runs it:
+// the trace registry is warm and one RunState is reused across iterations,
+// so the platform is rebuilt into recycled device arrays — the
+// steady-state unit cost of a large sweep. (The fresh single-cell path is
+// BenchmarkSingleRun/Ohm-BW/planar.)
 func BenchmarkKernelWarmCell(b *testing.B) {
 	cfg := config.Default(config.OhmBW, config.Planar)
 	cfg.MaxInstructions = 2000
+	w, ok := config.WorkloadByName("bfsdata")
+	if !ok {
+		b.Fatal("bfsdata missing")
+	}
+	st := core.AcquireRunState()
+	defer core.ReleaseRunState(st)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.RunWorkload("bfsdata"); err != nil {
+		if _, _, err := core.Run(st, cfg, w); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,8 +8,9 @@
 #
 # The suite covers four layers:
 #   - kernel:   BenchmarkKernelSchedule* (steady-state event loop, allocs/op)
-#   - cell:     BenchmarkKernelColdCell / BenchmarkKernelWarmCell and
-#               BenchmarkSingleRun/* (one end-to-end simulation)
+#   - cell:     BenchmarkKernelColdCell (fresh system, private trace),
+#               BenchmarkKernelWarmCell (pooled RunState, registry trace) and
+#               BenchmarkSingleRun/* (one fresh end-to-end simulation)
 #   - sweep:    BenchmarkSweepCold / BenchmarkSweepWarm (a real grid through
 #               batch.Runner; cells/sec and allocs/cell gate the run-state
 #               pool against per-cell allocation regressions)
